@@ -196,6 +196,36 @@ func BenchmarkQRSMPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkQRSMRefitGrowing measures the streaming service's refit cadence:
+// one op observes 25 completions, which triggers a Refit, then asks for one
+// estimate, which materializes the deferred fit. Like a serve, each cycle
+// of 16 ops starts from a fresh clone of the bootstrapped prototype, and
+// its window grows by 25 samples per op from the 200-sample bootstrap to
+// the 600 rows a day of serving reaches. The fit buffers grow with the
+// window; their reallocations are what allocs/op counts.
+func BenchmarkQRSMRefitGrowing(b *testing.B) {
+	const perOp, opsPerCycle = 25, 16
+	bfs, bys := workload.BootstrapSet(benchSeed, 200, 0.12)
+	proto := qrsm.NewEstimator()
+	proto.Bootstrap(bfs, bys)
+	proto.Materialize()
+	fs, ys := workload.BootstrapSet(benchSeed+1, perOp*opsPerCycle, 0.12)
+	var est *qrsm.Estimator
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % opsPerCycle
+		if k == 0 {
+			est = proto.CloneInto(nil)
+		}
+		for j := k * perOp; j < (k+1)*perOp; j++ {
+			est.Observe(fs[j], ys[j])
+		}
+		if est.Estimate(fs[k]) <= 0 {
+			b.Fatal("bad estimate")
+		}
+	}
+}
+
 func BenchmarkLinkTransfers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()

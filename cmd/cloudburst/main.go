@@ -18,6 +18,7 @@
 //	cloudburst -serve -arrivals flashcrowd -duration 1h
 //	cloudburst -serve -duration 1h -checkpoint svc.cbcp
 //	cloudburst -serve -duration 1h -restore svc.cbcp
+//	cloudburst -serve -duration 24h -quiet -cpuprofile serve.pprof
 //
 // Related commands: cmd/experiments regenerates the paper's figures and
 // tables; cmd/sweep runs sharded scenario sweeps with resume manifests.
@@ -31,6 +32,7 @@ import (
 	"time"
 
 	"cloudburst"
+	"cloudburst/internal/profile"
 )
 
 func main() {
@@ -82,8 +84,20 @@ func main() {
 		checkpointPath = flag.String("checkpoint", "", "with -serve: suspend at -duration and write the checkpoint blob to this file")
 		restorePath    = flag.String("restore", "", "with -serve: resume from a checkpoint blob; -duration adds serving time")
 		quiet          = flag.Bool("quiet", false, "with -serve: suppress per-window lines, print only the final summary")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole command to this file (read with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the command finishes")
 	)
 	flag.Parse()
+	stopProfiles, perr := profile.Start(*cpuProfile, *memProfile)
+	if perr != nil {
+		fatal(perr)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *advisePath != "" {
 		runAdvise(*advisePath)

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"cloudburst/internal/experiments"
+	"cloudburst/internal/profile"
 )
 
 func main() {
@@ -27,8 +28,20 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "also run the ablation studies")
 		extensions = flag.Bool("extensions", false, "also run the future-work extension studies")
 		only       = flag.String("only", "", "run a single driver: fig3, fig4a, fig4b, fig6, fig7, fig8, fig9, fig10, table1, sibs, autoscale, tickets")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole command to this file (read with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the command finishes")
 	)
 	flag.Parse()
+	stopProfiles, perr := profile.Start(*cpuProfile, *memProfile)
+	if perr != nil {
+		fatal(perr)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *only != "" {
 		if err := runOne(strings.ToLower(*only), *seed); err != nil {

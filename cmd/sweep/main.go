@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"cloudburst"
+	"cloudburst/internal/profile"
 )
 
 // The -profiles vocabulary is the library's preset registry: each name
@@ -104,8 +105,20 @@ func main() {
 		agg      = flag.Bool("agg", false, "print a mean/stddev/min/max table grouped by scheduler/bucket")
 		quiet    = flag.Bool("q", false, "suppress the progress line")
 		printAll = flag.Bool("cells", false, "print each cell's headline metrics to stdout")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole command to this file (read with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the command finishes")
 	)
 	flag.Parse()
+	stopProfiles, perr := profile.Start(*cpuProfile, *memProfile)
+	if perr != nil {
+		fatal(perr)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	spec, err := buildSpec(*specPath, specFlags{
 		schedulers: *schedulers, buckets: *buckets,

@@ -113,13 +113,19 @@ func (e *Estimator) Refit() {
 	}
 }
 
-// Materialize forces every deferred fit to run now. Callers that cache a
-// bootstrapped estimator as a prototype use this to pay the bootstrap
-// factorizations once instead of once per clone.
+// Materialize forces every deferred fit an estimate can observe to run
+// now: the global model's and those of well-determined class models.
+// Estimate never consults a class model holding fewer than 2·BasisSize
+// samples, so its deferred fit stays deferred and is never factored unless
+// a later read can see it. Callers that cache a bootstrapped estimator as a
+// prototype use this to pay the bootstrap factorizations once instead of
+// once per clone; the sharded fan-out uses it before concurrent reads.
 func (e *Estimator) Materialize() {
 	e.global.materialize()
 	for _, m := range e.perClass {
-		m.materialize()
+		if m.wellSampled() {
+			m.materialize()
+		}
 	}
 }
 

@@ -223,3 +223,102 @@ func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLazyRefitsMatchEager feeds one observation stream to two estimators.
+// The eager one materializes every model after every Refit, under-determined
+// class models included; the lazy one only materializes what an estimate
+// reads. The class mix is skewed so some class models cross 2·BasisSize
+// samples mid-stream and others never do. Every Estimate and
+// EstimateConcurrent result must agree bit for bit, and the lazy side must
+// never factor a class model that is not well determined.
+func TestLazyRefitsMatchEager(t *testing.T) {
+	weights := []float64{0.40, 0.25, 0.15, 0.10, 0.06, 0.04}
+	need := 2 * BasisSize(featureDim)
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		g := stats.NewRNG(seed)
+		pick := func() job.Class {
+			u := g.Float64()
+			for c, w := range weights {
+				if u < w {
+					return job.Class(c)
+				}
+				u -= w
+			}
+			return job.Class(len(weights) - 1)
+		}
+		lazy, eager := NewEstimator(), NewEstimator()
+		crossed, below := 0, 0
+		for i := 0; i < 900; i++ {
+			f := synthFeatures(g, pick())
+			y := synthTruth(f) * g.LogNormalMeanCV(1, 0.1)
+			v := eager.Version()
+			lazy.Observe(f, y)
+			eager.Observe(f, y)
+			if eager.Version() != v {
+				eager.global.materialize()
+				for _, m := range eager.perClass {
+					m.materialize()
+				}
+			}
+			if i%7 != 0 {
+				continue
+			}
+			probe := synthFeatures(g, pick())
+			if a, b := lazy.Estimate(probe), eager.Estimate(probe); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d obs %d: lazy Estimate %v, eager %v", seed, i, a, b)
+			}
+			lazy.Materialize()
+			eager.Materialize()
+			if a, b := lazy.EstimateConcurrent(probe), eager.EstimateConcurrent(probe); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d obs %d: lazy EstimateConcurrent %v, eager %v", seed, i, a, b)
+			}
+			for c, m := range lazy.perClass {
+				if m.NumSamples() < need && m.fitDone {
+					t.Fatalf("seed %d obs %d: class %d materialized a fit with %d < %d samples", seed, i, c, m.NumSamples(), need)
+				}
+			}
+		}
+		for _, m := range lazy.perClass {
+			if m.NumSamples() >= need {
+				crossed++
+			} else {
+				below++
+			}
+		}
+		if crossed == 0 || below == 0 {
+			t.Fatalf("seed %d: %d class models crossed %d samples and %d stayed below; the stream must do both", seed, crossed, need, below)
+		}
+	}
+}
+
+// TestEstimateConcurrentAllocationFree pins the sharded fan-out's per-job
+// estimate: its scratch lives on the caller's stack.
+func TestEstimateConcurrentAllocationFree(t *testing.T) {
+	g := stats.NewRNG(21)
+	e := NewEstimator()
+	var fs []job.Features
+	var ys []float64
+	for i := 0; i < 400; i++ {
+		f := synthFeatures(g, job.Class(i%2))
+		fs = append(fs, f)
+		ys = append(ys, synthTruth(f))
+	}
+	e.Bootstrap(fs, ys)
+	e.Materialize()
+	probes := []job.Features{synthFeatures(g, job.Class(0)), synthFeatures(g, job.Class(4))}
+	if !e.perClass[0].wellDeterminedRead() || e.perClass[4].wellDeterminedRead() {
+		t.Fatal("probes must cover a class model and the global model")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, f := range probes {
+			_ = e.EstimateConcurrent(f)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EstimateConcurrent allocates %v times per call pair, want 0", allocs)
+	}
+}

@@ -27,6 +27,14 @@ var ErrNotFitted = errors.New("qrsm: model has not been fitted")
 // ErrTooFewSamples is returned by Fit when observations < basis size.
 var ErrTooFewSamples = errors.New("qrsm: not enough samples to fit")
 
+// stackDim bounds the feature dimension whose concurrent-prediction scratch
+// lives on the stack (the estimator's document features have 9), and
+// stackBasis is its basis size.
+const (
+	stackDim   = 12
+	stackBasis = 1 + stackDim + stackDim*(stackDim-1)/2 + stackDim
+)
+
 // BasisSize returns the number of terms in the full quadratic basis for dim
 // input features: intercept + linear + pairwise interactions + squares.
 func BasisSize(dim int) int {
@@ -72,9 +80,10 @@ type Model struct {
 
 	// Scratch reused across Fit/Predict calls; the model is single-threaded
 	// by design (Observe already mutates shared state), so this is safe.
+	// The workspace owns the design matrix: fit assembles the basis straight
+	// into the factorization's buffer.
 	zbuf []float64 // standardized features
 	bbuf []float64 // expanded basis row
-	abuf []float64 // row-major design matrix backing
 	ws   linalg.Workspace
 }
 
@@ -117,13 +126,25 @@ func (m *Model) Fitted() bool {
 	return m.fitted
 }
 
-// WellDetermined reports whether the current training window holds at
-// least twice as many samples as basis terms. A fit that merely satisfies
-// n ≥ p interpolates its data and extrapolates wildly; callers choosing
-// between models should prefer well-determined ones.
+// WellDetermined reports whether the model is fitted and the current
+// training window holds at least twice as many samples as basis terms. A
+// fit that merely satisfies n ≥ p interpolates its data and extrapolates
+// wildly; callers choosing between models should prefer well-determined
+// ones. The sample count is checked first, so a deferred fit on a model
+// that is not well determined stays deferred: nobody reading through this
+// gate can observe it.
 func (m *Model) WellDetermined() bool {
+	if !m.wellSampled() {
+		return false
+	}
 	m.materialize()
-	return m.fitted && len(m.ys) >= 2*BasisSize(m.dim)
+	return m.fitted
+}
+
+// wellSampled reports whether the training window holds at least twice as
+// many samples as basis terms.
+func (m *Model) wellSampled() bool {
+	return len(m.ys) >= 2*BasisSize(m.dim)
 }
 
 // Observe records a training pair. The feature slice is copied.
@@ -204,8 +225,9 @@ func (m *Model) Fit() error {
 
 // RequestFit schedules a fit over the current training window without
 // paying for the factorization now: the fit materializes lazily on the
-// first accessor that could observe its outcome (Fitted, WellDetermined,
-// Predict, PredictClamped, R2, RMSE, Coefficients, or Fit). Requests
+// first accessor that could observe its outcome (Fitted, WellDetermined on
+// a well-sampled model, Predict, PredictClamped, R2, RMSE, Coefficients, or
+// Fit). Requests
 // between two consultations collapse into the latest one — exactly the
 // fits an eager caller would have computed and then overwritten — which is
 // what makes a fixed refit cadence nearly free for models that are rarely
@@ -271,16 +293,9 @@ func (m *Model) fit(n int) error {
 			m.scale[j] = 1 // constant feature: center only
 		}
 	}
-	z, _ := m.scratch()
-	if cap(m.abuf) < n*p {
-		m.abuf = make([]float64, n*p)
-	}
-	a := &linalg.Matrix{Rows: n, Cols: p, Data: m.abuf[:n*p]}
-	for i := 0; i < n; i++ {
-		m.standardizeInto(m.sample(i), z)
-		basisInto(z, a.Data[i*p:(i+1)*p])
-	}
-	coef, err := m.ws.RidgeLeastSquares(a, m.ys[:n], m.lambda)
+	a, stride := m.ws.Design(n, p)
+	m.designInto(a, stride, n)
+	coef, err := m.ws.RidgeSolve(m.ys[:n], m.lambda)
 	if err != nil {
 		return fmt.Errorf("qrsm: fit failed: %w", err)
 	}
@@ -288,6 +303,43 @@ func (m *Model) fit(n int) error {
 	m.fitted = true
 	m.computeDiagnostics(n)
 	return nil
+}
+
+// designInto writes the quadratic basis of the first n standardized samples
+// into the column-major design a (column j at a[j*stride:]), column by
+// column in basisInto's term order. Every entry is the same expression
+// basisInto evaluates, so the design is bit-identical to stacking basis
+// rows.
+func (m *Model) designInto(a []float64, stride, n int) {
+	col := func(j int) []float64 { return a[j*stride : j*stride+n] }
+	ones := col(0)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for j := 0; j < m.dim; j++ {
+		zj := col(1 + j)
+		for i := range zj {
+			zj[i] = (m.xd[i*m.dim+j] - m.mean[j]) / m.scale[j]
+		}
+	}
+	k := 1 + m.dim
+	for i := 0; i < m.dim; i++ {
+		zi := col(1 + i)
+		for j := i + 1; j < m.dim; j++ {
+			zj, out := col(1+j), col(k)
+			for r := range out {
+				out[r] = zi[r] * zj[r]
+			}
+			k++
+		}
+	}
+	for i := 0; i < m.dim; i++ {
+		zi, out := col(1+i), col(k)
+		for r := range out {
+			out[r] = zi[r] * zi[r]
+		}
+		k++
+	}
 }
 
 // computeDiagnostics evaluates R² and RMSE over the n samples just fit.
@@ -348,6 +400,9 @@ func (m *Model) PredictClamped(x []float64, floor float64) float64 {
 // placement rounds materialize first, then treat the estimator as
 // read-only for the duration of the fan-out). The arithmetic is identical
 // to Predict's, so the two paths agree bit for bit.
+//
+// The buffers live on the caller's stack when the model is at most stackDim
+// wide, so the sharded fan-out's per-job estimates allocate nothing.
 func (m *Model) predictConcurrent(x []float64) (float64, error) {
 	if m.pending {
 		// A deferred fit would mutate under the readers; that is a caller
@@ -360,8 +415,14 @@ func (m *Model) predictConcurrent(x []float64) (float64, error) {
 	if len(x) != m.dim {
 		panic(fmt.Sprintf("qrsm: predict dim %d, want %d", len(x), m.dim))
 	}
-	z := make([]float64, m.dim)
-	b := make([]float64, BasisSize(m.dim))
+	var zs [stackDim]float64
+	var bs [stackBasis]float64
+	var z, b []float64
+	if m.dim <= stackDim {
+		z, b = zs[:m.dim], bs[:BasisSize(m.dim)]
+	} else {
+		z, b = make([]float64, m.dim), make([]float64, BasisSize(m.dim))
+	}
 	m.standardizeInto(x, z)
 	basisInto(z, b)
 	return linalg.Dot(b, m.coef), nil
@@ -386,8 +447,10 @@ func (m *Model) fittedRead() bool {
 	return m.fitted
 }
 
+// wellDeterminedRead checks the sample count first, like WellDetermined, so
+// a model that is not well determined may still hold a deferred fit.
 func (m *Model) wellDeterminedRead() bool {
-	return m.fittedRead() && len(m.ys) >= 2*BasisSize(m.dim)
+	return m.wellSampled() && m.fittedRead()
 }
 
 // R2 returns the coefficient of determination on the training window

@@ -217,3 +217,54 @@ func TestCoefficientsCopy(t *testing.T) {
 		t.Fatalf("coef len = %d", len(c2))
 	}
 }
+
+// TestRefitAllocations pins the fit workspace's reuse: refits over a full
+// sliding window allocate nothing, and refits over a growing window
+// reallocate O(log n) times, not once per refit.
+func TestRefitAllocations(t *testing.T) {
+	g := stats.NewRNG(4)
+	obs := func(m *Model) {
+		a, b := g.Uniform(0, 10), g.Uniform(0, 5)
+		m.Observe([]float64{a, b}, 3+a*b+g.Normal(0, 0.1))
+	}
+	fixed := New(2, WithWindow(64))
+	for i := 0; i < 64; i++ {
+		obs(fixed)
+	}
+	for i := 0; i < 100; i++ {
+		obs(fixed)
+		if err := fixed.Fit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		obs(fixed)
+		if err := fixed.Fit(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("refit at a fixed window allocates %v times, want 0", allocs)
+	}
+
+	refits := 2000
+	if testing.Short() {
+		refits = 500
+	}
+	growing := New(2)
+	for i := 0; i < BasisSize(2); i++ {
+		obs(growing)
+	}
+	// AllocsPerRun warms up with one call, so the measured call grows the
+	// window from refits+6 to 2·refits+6 samples.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < refits; i++ {
+			obs(growing)
+			if err := growing.Fit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if limit := math.Log2(float64(growing.NumSamples())); allocs > limit {
+		t.Fatalf("%d refits over a growing window allocate %v times, want at most log2(n) = %.1f", refits, allocs, limit)
+	}
+}
