@@ -63,8 +63,8 @@ func TestNormalizeIdempotentAndEquivalent(t *testing.T) {
 	}{
 		{"fast op", fastOpts(OrderPreserving)},
 		{"fast sibs with faults", withFaults(fastOpts(SIBS))},
-		{"paper testbed with faults", withFaults(PaperTestbed())},
-		{"high variance with faults", withFaults(HighVariance())},
+		{"paper testbed with faults", withFaults(mustPreset("paper"))},
+		{"high variance with faults", withFaults(mustPreset("highvar"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,21 +148,30 @@ func TestCompareContextMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
-func TestPresets(t *testing.T) {
-	pt := PaperTestbed()
-	if pt.ICMachines != 8 || pt.ECMachines != 2 || pt.Scheduler != OrderPreserving {
-		t.Fatalf("PaperTestbed = %+v", pt)
+// mustPreset returns a registry preset, panicking on an unknown name.
+func mustPreset(name string) Options {
+	o, err := Preset(name)
+	if err != nil {
+		panic(err)
 	}
-	hv := HighVariance()
+	return o
+}
+
+func TestPresets(t *testing.T) {
+	pt := mustPreset("paper")
+	if pt.ICMachines != 8 || pt.ECMachines != 2 || pt.Scheduler != OrderPreserving {
+		t.Fatalf("paper preset = %+v", pt)
+	}
+	hv := mustPreset("highvar")
 	if hv.JitterCV != 0.5 {
-		t.Fatalf("HighVariance JitterCV = %v, want 0.5", hv.JitterCV)
+		t.Fatalf("highvar preset JitterCV = %v, want 0.5", hv.JitterCV)
 	}
 	hv.JitterCV = pt.JitterCV
 	if !reflect.DeepEqual(pt, hv) {
-		t.Fatal("HighVariance differs from PaperTestbed beyond JitterCV")
+		t.Fatal("highvar preset differs from paper beyond JitterCV")
 	}
 	if _, err := Run(pt); err != nil {
-		t.Fatalf("PaperTestbed run failed: %v", err)
+		t.Fatalf("paper preset run failed: %v", err)
 	}
 }
 

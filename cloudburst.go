@@ -217,7 +217,7 @@ type ECSiteSpec struct {
 // the returned value runs identically to the receiver, but each zero field
 // that has a documented default now carries that default. It is idempotent,
 // and Run applies it automatically — call it directly to inspect or tweak
-// the effective configuration (see PaperTestbed).
+// the effective configuration (see Preset).
 //
 // One intentional gap: ExtraECSites bandwidths stay zero, because the
 // engine's per-site default profiles use a fixed 0.3 diurnal amplitude

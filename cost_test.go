@@ -262,16 +262,6 @@ func TestPresetRegistry(t *testing.T) {
 	if _, err := SweepProfileFor("nope"); !errors.As(err, &oe) {
 		t.Fatalf("SweepProfileFor untyped rejection: %v", err)
 	}
-
-	// The deprecated constructors remain exact aliases of the registry.
-	pt, _ := Preset("paper")
-	if !reflect.DeepEqual(PaperTestbed(), pt) {
-		t.Fatal("PaperTestbed diverged from Preset(\"paper\")")
-	}
-	hv, _ := Preset("highvar")
-	if !reflect.DeepEqual(HighVariance(), hv) {
-		t.Fatal("HighVariance diverged from Preset(\"highvar\")")
-	}
 }
 
 // TestAdviseEndToEnd drives the full advisor data flow: a small sweep with

@@ -18,7 +18,10 @@ func main() {
 	// A heavy afternoon: the high-variance preset (jitter CV 0.5) with ten
 	// batches of ~18 large-biased jobs; the press tolerates being at most
 	// 4 jobs out of order.
-	base := cloudburst.HighVariance()
+	base, err := cloudburst.Preset("highvar")
+	if err != nil {
+		log.Fatal(err)
+	}
 	base.Bucket = cloudburst.Large
 	base.Batches = 10
 	base.MeanJobsPerBatch = 18

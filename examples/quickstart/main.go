@@ -12,7 +12,10 @@ import (
 
 func main() {
 	// The paper's test bed with every default explicit; only the seeds vary.
-	opts := cloudburst.PaperTestbed()
+	opts, err := cloudburst.Preset("paper")
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts.WorkloadSeed = 1
 	opts.NetSeed = 1
 

@@ -19,7 +19,8 @@ import (
 //   - the sim.Engine is Reset (events truncated, freed nodes returned to
 //     its internal pool) and reused, so steady-state scheduling allocates
 //     nothing;
-//   - the states and estCache tables are scrubbed and resliced;
+//   - the states and estCache tables are scrubbed, and the next run grows
+//     them back into the retained capacity as IDs arrive;
 //   - jobStates come from a paged slab whose cursor rewinds per run
 //     (pages never move, so the pipeline's long-lived pointers stay
 //     valid; every slot is fully overwritten at placement time, so stale
@@ -89,25 +90,6 @@ func (a *arena) engine() *sim.Engine {
 	return a.eng
 }
 
-// stateTable returns a zeroed dense job-state table of length n. Beyond
-// the slice lengths captured at release the backing arrays are zero by
-// construction (fresh allocations are zero; release scrubs [0:len)), so
-// reslicing larger stays zeroed.
-func (a *arena) stateTable(n int) []*jobState {
-	if cap(a.states) < n {
-		a.states = make([]*jobState, n)
-	}
-	return a.states[:n]
-}
-
-// estCacheTable returns a zeroed estimate-memo table of length n.
-func (a *arena) estCacheTable(n int) []estEntry {
-	if cap(a.estCache) < n {
-		a.estCache = make([]estEntry, n)
-	}
-	return a.estCache[:n]
-}
-
 // newJobState hands out the next slab slot. The caller fully overwrites
 // the slot (*js = jobState{...}), so rewinding the cursor at release needs
 // no zeroing. Completed runs leave uploadItem/icTask nil in every slot, so
@@ -126,8 +108,8 @@ func (a *arena) newJobState() *jobState {
 }
 
 // newJobState allocates a pipeline slot: from the run's arena, or from the
-// heap for arena-less engines (streaming Serve, whose open-ended slot
-// population would grow a slab without bound, and Reference mode).
+// heap for arena-less engines (Serve, whose open-ended slot population
+// would grow a slab without bound, and Reference mode).
 func (e *Engine) newJobState() *jobState {
 	if e.arena == nil {
 		return new(jobState)

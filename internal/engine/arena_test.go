@@ -82,23 +82,36 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// newFiniteEngine builds the engine RunContext would drive, so a test can
+// reach into it before and after e.run.
+func newFiniteEngine(t *testing.T, cfg Config, s sched.Scheduler) *Engine {
+	t.Helper()
+	cfg, err := prepareConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(cfg, s, cfg.Tracer, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestReleaseScrubsArena(t *testing.T) {
 	prev := SetArenaPooling(true)
 	defer SetArenaPooling(prev)
 
-	var a *arena
-	cfg := Config{NetSeed: 43}
 	g, err := workload.NewGenerator(workload.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runWithHook(context.Background(), cfg, sched.OrderPreserving{}, g.Generate(),
-		func(e *Engine) { a = e.arena })
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newFiniteEngine(t, Config{NetSeed: 43}, sched.OrderPreserving{})
+	a := e.arena
 	if a == nil {
 		t.Fatal("optimized run did not use an arena")
+	}
+	if _, err := e.run(context.Background(), g.Generate()); err != nil {
+		t.Fatal(err)
 	}
 
 	// Values are gone; only capacity remains.
@@ -145,11 +158,9 @@ func TestDirtyArenaCaughtByInvariantChecker(t *testing.T) {
 		j:   &job.Job{ID: 424242, ParentID: -1, OutputSize: 777},
 		seq: 100000, // unique: a colliding seq would trip sla.MustAdd's dedup panic instead
 	}
-	_, err = runWithHook(context.Background(), cfg, sched.OrderPreserving{}, g.Generate(),
-		func(e *Engine) {
-			e.eng.CallAfter(40, func(now float64, arg any) { e.complete(stale, now, sla.EC) }, nil)
-		})
-	if err != nil {
+	e := newFiniteEngine(t, cfg, sched.OrderPreserving{})
+	e.eng.CallAfter(40, func(now float64, arg any) { e.complete(stale, now, sla.EC) }, nil)
+	if _, err := e.run(context.Background(), g.Generate()); err != nil {
 		t.Fatal(err)
 	}
 	var phantom, abandoned bool

@@ -387,7 +387,7 @@ type Engine struct {
 
 	eng *sim.Engine
 	// arena is the run's pooled allocation backbone (nil in Reference mode
-	// and for streaming Serve); see arena.go.
+	// and for Serve); see arena.go.
 	arena     *arena
 	ic        *cluster.Cluster
 	ec        *cluster.Cluster
@@ -430,9 +430,8 @@ type Engine struct {
 	commitRetries int
 	freeECBuf     []int
 
-	// streaming marks an open-ended Serve run: jobs keep arriving for as
-	// long as the source feeds, so completed queue slots are released from
-	// the dense state table instead of accumulating for the whole run.
+	// streaming marks a Serve run, whose result reports the rental accrual
+	// and leaves rentals open for a continuation; a finite run closes them.
 	streaming bool
 
 	alloc   *job.Counter
@@ -446,7 +445,6 @@ type Engine struct {
 	// version, so backlog scans and scheduler consultations stop paying the
 	// quadratic-model evaluation for every look at the same job.
 	estCache  []estEntry
-	onBatchCb sim.Callback
 	records   *sla.Set
 	completed int
 	total     int
@@ -490,14 +488,26 @@ func (e *Engine) estimateJob(j *job.Job) float64 {
 	}
 	v := e.estimator.Estimate(j.Features)
 	if id >= 0 {
-		if id >= len(e.estCache) {
-			grown := make([]estEntry, id+1+64)
-			copy(grown, e.estCache)
-			e.estCache = grown
-		}
+		e.estCache = cover(e.estCache, id)
 		e.estCache[id] = estEntry{ver: ver, val: v}
 	}
 	return v
+}
+
+// cover returns table resliced or grown so that id indexes it. Tables grow
+// into their retained capacity first — beyond len the backing array is
+// zero (fresh allocations are zero, and arena release scrubs [0:len)) — so
+// a pooled run's tables reach the previous run's size without reallocating.
+func cover[T any](table []T, id int) []T {
+	switch {
+	case id < len(table):
+		return table
+	case id < cap(table):
+		return table[:id+1]
+	}
+	grown := make([]T, id+1, max(2*cap(table), id+1+64))
+	copy(grown, table)
+	return grown
 }
 
 // stateFor returns the pipeline slot for job ID, or nil when the engine is
@@ -510,15 +520,11 @@ func (e *Engine) stateFor(id int) *jobState {
 }
 
 // setState registers a queue slot under its job ID, growing the dense table
-// as chunking allocates IDs past the initial workload.
+// as arrivals and chunking allocate IDs.
 func (e *Engine) setState(id int, js *jobState) {
 	if id < 0 {
 		panic(fmt.Sprintf("engine: job ID %d negative", id))
 	}
-	if id >= len(e.states) {
-		grown := make([]*jobState, id+1+64)
-		copy(grown, e.states)
-		e.states = grown
-	}
+	e.states = cover(e.states, id)
 	e.states[id] = js
 }

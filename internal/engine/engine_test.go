@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -463,34 +464,44 @@ func TestRemoteSitesDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunInspectSnapshots(t *testing.T) {
-	batches := smallWorkload(workload.UniformMix, 40)
-	var snaps []Snapshot
-	res, err := RunInspect(Config{NetSeed: 1}, sched.Greedy{}, batches, 120, func(s Snapshot) {
-		snaps = append(snaps, s)
-	})
-	if err != nil {
+// TestRunContextCancelMidRun cancels a run from inside its first scheduling
+// round, with well over 1,024 events still to fire. Run shares Serve's
+// drive loop, but where a cancelled Serve drains, a cancelled Run aborts
+// with ctx.Err() and hands back no partial result.
+func TestRunContextCancelMidRun(t *testing.T) {
+	prev := SetArenaPooling(false) // keep each engine's event count readable after the run
+	defer SetArenaPooling(prev)
+	batches := workload.MustNewGenerator(workload.Config{
+		Bucket: workload.LargeBias, Batches: 24, MeanJobsPerBatch: 40, Seed: 5,
+	}).Generate()
+
+	full := newFiniteEngine(t, Config{NetSeed: 5}, sched.Greedy{})
+	if _, err := full.run(context.Background(), batches); err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots delivered")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var e *Engine
+	var firedAtCancel uint64
+	e = newFiniteEngine(t, Config{NetSeed: 5, OnBatch: func(BatchTrace) {
+		if firedAtCancel == 0 {
+			firedAtCancel = e.eng.Fired()
+			cancel()
+		}
+	}}, sched.Greedy{})
+	res, err := e.run(ctx, batches)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
 	}
-	prev := -1.0
-	for _, s := range snaps {
-		if s.Now <= prev {
-			t.Fatal("snapshots not time-ordered")
-		}
-		prev = s.Now
-		if s.UplinkCapacity <= 0 {
-			t.Fatal("snapshot missing link capacity")
-		}
-		if s.Completed < 0 || s.Completed > res.Jobs {
-			t.Fatalf("snapshot completed count %d out of range", s.Completed)
-		}
+	if res != nil {
+		t.Fatalf("cancelled run returned a partial result: %+v", res)
 	}
-	// Default period guard: non-positive period must not panic.
-	if _, err := RunInspect(Config{NetSeed: 1}, sched.ICOnly{}, batches, 0, func(Snapshot) {}); err != nil {
-		t.Fatal(err)
+	if left := full.eng.Fired() - firedAtCancel; left <= 1024 {
+		t.Fatalf("only %d events remained at the cancel; the test needs a longer run", left)
+	}
+	if e.eng.Fired() >= full.eng.Fired() {
+		t.Fatalf("cancelled run fired all %d events", e.eng.Fired())
 	}
 }
 

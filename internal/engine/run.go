@@ -20,19 +20,19 @@ import (
 // summary. The run is fully deterministic for a fixed (config, scheduler,
 // workload) triple.
 func Run(cfg Config, s sched.Scheduler, batches []workload.Batch) (*Result, error) {
-	return runWithHook(context.Background(), cfg, s, batches, nil)
+	return RunContext(context.Background(), cfg, s, batches)
 }
 
 // RunContext is Run with cooperative cancellation: the drive loop checks
 // ctx periodically and returns ctx.Err() when it fires. Cancellation does
 // not affect determinism — a run that completes is bit-identical to Run.
+//
+// A run is a finite Serve: the batches feed the same admission path and
+// drive loop from a slice source, and the run ends once the source is
+// exhausted and every admitted job is done. Batches must come in
+// non-decreasing arrival order, as workload.Generator emits them: each
+// arrival is scheduled only once the batch before it has been fed.
 func RunContext(ctx context.Context, cfg Config, s sched.Scheduler, batches []workload.Batch) (*Result, error) {
-	return runWithHook(ctx, cfg, s, batches, nil)
-}
-
-// runWithHook is Run with an optional post-build hook (used by RunInspect
-// to attach observers before the clock starts).
-func runWithHook(ctx context.Context, cfg Config, s sched.Scheduler, batches []workload.Batch, hook func(*Engine)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -40,26 +40,54 @@ func runWithHook(ctx context.Context, cfg Config, s sched.Scheduler, batches []w
 	if err != nil {
 		return nil, err
 	}
-	// Reference mode runs on the naive structures with no reuse of any
-	// kind; optimized runs draw their allocation backbone from the arena
-	// pool (see arena.go).
-	var a *arena
-	var eng *sim.Engine
-	if cfg.Reference {
-		eng = sim.NewReference()
-	} else {
-		a = acquireArena()
-		eng = a.engine()
+	e, err := newEngine(cfg, s, cfg.Tracer, false)
+	if err != nil {
+		return nil, err
 	}
+	return e.run(ctx, batches)
+}
+
+// run drives a freshly built finite engine through batches. Unlike Serve,
+// cancellation aborts with ctx.Err() and no partial result, and the arena
+// returns to the pool only after a clean finish.
+func (e *Engine) run(ctx context.Context, batches []workload.Batch) (*Result, error) {
+	srv := &server{e: e, src: workload.NewSliceSource(batches), finite: true}
+	srv.start(0)
+	if _, err := srv.drive(ctx); err != nil {
+		return nil, err
+	}
+	res := e.resultFrom(srv.tseq, srv.fedJobs)
+	e.release()
+	return res, nil
+}
+
+// newEngine is the one construction path: it wires the substrates, starts
+// the autoscaler, and opens the event stream and the rental clock. Finite
+// runs draw their allocation backbone from the arena pool (see arena.go);
+// streaming runs, whose slot population is open-ended, and Reference mode,
+// which must exercise the naive structures with no reuse, build theirs
+// fresh.
+func newEngine(cfg Config, s sched.Scheduler, tracer trace.Tracer, streaming bool) (*Engine, error) {
 	e := &Engine{
-		cfg:     cfg,
-		sched:   s,
-		tracer:  cfg.Tracer,
-		eng:     eng,
-		arena:   a,
-		records: sla.NewSet(),
+		cfg:       cfg,
+		sched:     s,
+		tracer:    tracer,
+		records:   sla.NewSet(),
+		streaming: streaming,
+		// IDs come from the source through this counter — the same one
+		// chunking draws from — so chunk IDs never collide with jobs.
+		alloc: job.NewCounter(0),
 	}
-	e.onBatchCb = func(now float64, arg any) { e.onBatch(*arg.(*workload.Batch)) }
+	switch {
+	case cfg.Reference:
+		e.eng = sim.NewReference()
+	case streaming:
+		e.eng = sim.NewEngine()
+	default:
+		e.arena = acquireArena()
+		e.eng = e.arena.engine()
+		e.states, e.estCache = e.arena.states, e.arena.estCache
+	}
 	e.compileMask()
 	e.build()
 	if cfg.Autoscale != nil {
@@ -71,69 +99,7 @@ func runWithHook(ctx context.Context, cfg Config, s sched.Scheduler, batches []w
 	}
 	e.emitRunConfigured()
 	e.startMetering()
-	if hook != nil {
-		hook(e)
-	}
-
-	// Allocate chunk IDs after the highest workload ID.
-	maxID := -1
-	for _, b := range batches {
-		for _, j := range b.Jobs {
-			if j.ID > maxID {
-				maxID = j.ID
-			}
-			e.total++
-		}
-	}
-	e.alloc = job.NewCounter(maxID + 1)
-	if a != nil {
-		e.states = a.stateTable(maxID + 1)
-		e.estCache = a.estCacheTable(maxID + 1)
-	} else {
-		e.states = make([]*jobState, maxID+1)
-		e.estCache = make([]estEntry, maxID+1)
-	}
-
-	// The whole arrival wave is known up front; bulk-heapify it instead of
-	// pushing batch events one by one.
-	ats := make([]float64, len(batches))
-	args := make([]any, len(batches))
-	for i := range batches {
-		ats[i] = batches[i].At
-		args[i] = &batches[i]
-	}
-	e.eng.ScheduleBulk(ats, e.onBatchCb, args)
-
-	// Drive until every queue slot completes. Perpetual tickers (probes,
-	// rescheduling) keep the event queue non-empty, so termination is by
-	// completion count with a virtual-time safety valve. Cancellation is
-	// checked once up front — so an already-cancelled context never starts
-	// the simulation, however short — then polled every 1024 steps, cheap
-	// enough to disappear in the hot path, frequent enough that long sweeps
-	// stop promptly.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for steps := 0; e.completed < e.total; steps++ {
-		if steps&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if !e.eng.Step() {
-			return nil, fmt.Errorf("engine: event queue drained with %d/%d jobs done", e.completed, e.total)
-		}
-		if e.eng.Now() > cfg.MaxVirtualTime {
-			return nil, fmt.Errorf("%w: %d/%d jobs done at t=%.0fs", ErrTimeout, e.completed, e.total, e.eng.Now())
-		}
-	}
-	if e.prober != nil {
-		e.prober.Stop()
-	}
-
-	res := e.result(batches)
-	e.release()
-	return res, nil
+	return e, nil
 }
 
 // prepareConfig applies defaults and validates the fault model; both Run
@@ -611,21 +577,16 @@ func (e *Engine) complete(js *jobState, at float64, where sla.Where) {
 			Arrival: js.j.ArrivalTime, OutputBytes: js.j.OutputSize,
 		})
 	}
-	if e.streaming && js.j.ID >= 0 && js.j.ID < len(e.states) {
-		// Open-ended runs must not grow state linearly with every job ever
-		// served; every consumer of the dense table nil-checks its slots.
+	if js.j.ID >= 0 && js.j.ID < len(e.states) {
+		// The slot is finished: release it, so an open-ended run does not
+		// hold state for every job ever served. Every consumer of the dense
+		// table skips nil and done slots alike.
 		e.states[js.j.ID] = nil
 	}
 }
 
-// result assembles the summary after a finite batch run.
-func (e *Engine) result(batches []workload.Batch) *Result {
-	return e.resultFrom(workload.TotalStdSeconds(batches), workload.TotalJobs(batches))
-}
-
-// resultFrom assembles the summary from externally accumulated workload
-// totals — the streaming drive loop tallies them batch by batch as the
-// source feeds, where no finite batch slice ever exists.
+// resultFrom assembles the summary from the workload totals the admission
+// path tallied batch by batch as the source fed.
 func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 	end := 0.0
 	for _, r := range e.records.Records() {

@@ -4,22 +4,22 @@ import (
 	"context"
 	"fmt"
 
-	"cloudburst/internal/job"
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sim"
-	"cloudburst/internal/sla"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/window"
 	"cloudburst/internal/workload"
 )
 
 // Streaming service mode: Serve drives the same engine as Run, but against
-// an open-ended workload.Source instead of a finite batch slice. Batches
-// are pulled lazily (the next batch is fetched only when the previous one
-// is fed), rolling-window SLA metrics are flushed on a fixed virtual-time
-// period, the QRSM keeps refitting as completions stream in, and the run
-// ends by budget — virtual-time duration, job count, source exhaustion or
-// context cancellation — rather than by workload completion.
+// an open-ended workload.Source instead of a finite batch slice — Run is a
+// finite Serve, sharing its construction (newEngine), admission
+// (server.feed) and drive loop (server.drive). Batches are pulled lazily
+// (the next batch is fetched only when the previous one is fed),
+// rolling-window SLA metrics are flushed on a fixed virtual-time period,
+// the QRSM keeps refitting as completions stream in, and the run ends by
+// budget — virtual-time duration, job count, source exhaustion or context
+// cancellation — rather than by workload completion.
 //
 // # Checkpoint/restore
 //
@@ -188,11 +188,17 @@ func (g *gatedTracer) Emit(ev trace.Event) {
 	}
 }
 
-// server is the streaming drive state wrapped around an Engine.
+// server is the drive state wrapped around an Engine: it admits batches
+// from a Source and steps the event loop. Run and Serve both drive through
+// it; the window collector, fingerprint and replay gate exist only for
+// Serve, so untraced finite runs pay for no event emission.
 type server struct {
 	e   *Engine
 	src workload.Source
 	sc  StreamConfig
+	// finite marks a Run: cancellation aborts it with ctx.Err() instead of
+	// stopping the feed and draining.
+	finite bool
 
 	col  *window.Collector
 	fp   *trace.Fingerprint
@@ -209,6 +215,17 @@ type server struct {
 
 	feedCb  sim.Callback
 	pending workload.Batch
+}
+
+// start arms admission: the feeding deadline sits Duration past the
+// already served budget, and the first batch is pulled and scheduled.
+func (s *server) start(served float64) {
+	s.feeding, s.deadline = true, -1
+	if s.sc.Duration > 0 {
+		s.deadline = served + s.sc.Duration
+	}
+	s.feedCb = func(now float64, arg any) { s.feed(arg.(*workload.Batch)) }
+	s.scheduleNext()
 }
 
 // stopFeeding turns off admission; the first cause wins.
@@ -265,6 +282,54 @@ func (s *server) scheduleNext() {
 	s.e.eng.ScheduleCall(nb.At, s.feedCb, &s.pending)
 }
 
+// drive is the one live drive loop. Perpetual tickers keep the queue
+// non-empty, so a drained queue is always a bug. Termination:
+//   - drain (source exhaustion, duration without checkpoint, job budget,
+//     Serve cancellation): feeding is off and every admitted job has
+//     completed;
+//   - suspension: the next event lies past the deadline; stop without
+//     firing it, leaving in-flight state to the checkpoint;
+//   - abort: a finite run's context fired, or the virtual-time safety
+//     valve tripped.
+//
+// Cancellation is polled before the first step — so an already-cancelled
+// Run never starts the simulation, however short — and then every 1024
+// steps, cheap enough to disappear in the hot path, frequent enough that
+// long sweeps stop promptly.
+func (s *server) drive(ctx context.Context) (suspended bool, err error) {
+	e, eng := s.e, s.e.eng
+	for steps := 0; ; steps++ {
+		if steps&1023 == 0 && ctx.Err() != nil {
+			if s.finite {
+				return false, ctx.Err()
+			}
+			s.stopFeeding(StopCancelled)
+		}
+		if s.sc.SuspendForCheckpoint {
+			// Suspension outranks drain-completion: even a run whose work
+			// happens to finish early must stop exactly at the first event
+			// past the deadline, or its fired-event count would diverge
+			// from the unsplit run it has to be a prefix of.
+			if t, ok := eng.NextEventTime(); !ok || t > s.deadline {
+				suspended = true
+				break
+			}
+		} else if !s.feeding && e.completed >= e.total {
+			break
+		}
+		if !eng.Step() {
+			return false, fmt.Errorf("engine: event queue drained with %d/%d jobs done", e.completed, e.total)
+		}
+		if eng.Now() > e.cfg.MaxVirtualTime {
+			return false, fmt.Errorf("%w: %d/%d jobs done at t=%.0fs", ErrTimeout, e.completed, e.total, eng.Now())
+		}
+	}
+	if e.prober != nil {
+		e.prober.Stop()
+	}
+	return suspended, nil
+}
+
 // flush closes the current metric window. Replayed windows were delivered
 // by the run that wrote the checkpoint, so they advance the collector
 // without reaching OnWindow.
@@ -296,20 +361,8 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 		return nil, err
 	}
 
-	eng := sim.NewEngine()
-	if cfg.Reference {
-		eng = sim.NewReference()
-	}
-	e := &Engine{
-		cfg:       cfg,
-		sched:     s,
-		eng:       eng,
-		records:   sla.NewSet(),
-		streaming: true,
-	}
 	rc := sc.Resume
-	srv := &server{e: e, src: src, sc: sc, feeding: true, deadline: -1}
-	srv.feedCb = func(now float64, arg any) { srv.feed(arg.(*workload.Batch)) }
+	srv := &server{src: src, sc: sc}
 	if rc != nil {
 		srv.fp = trace.ResumeFingerprint(rc.Fingerprint, rc.Events)
 	} else {
@@ -320,23 +373,12 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 	// The collector and the observer stay ungated: their cross-event state
 	// (busy machines, the OO prefix, open transfers) must span a restore
 	// cut, so they re-watch the replayed prefix.
-	e.tracer = trace.Multi(srv.col, sc.Observer, srv.gate)
-	e.compileMask()
-	e.build()
-	if cfg.Autoscale != nil {
-		scaler, err := startAutoscaler(e, *cfg.Autoscale)
-		if err != nil {
-			return nil, err
-		}
-		e.scaler = scaler
+	e, err := newEngine(cfg, s, trace.Multi(srv.col, sc.Observer, srv.gate), true)
+	if err != nil {
+		return nil, err
 	}
-	e.emitRunConfigured()
-	e.startMetering()
-
-	// Streaming IDs are allocated lazily by the source from the engine's
-	// counter — the same counter chunking draws from — so chunk IDs can
-	// never collide with jobs that have not arrived yet.
-	e.alloc = job.NewCounter(0)
+	srv.e = e
+	eng := e.eng
 
 	// The window ticker is a simulation event like any other: it fires at
 	// identical instants in a replay, keeping window boundaries exact
@@ -347,23 +389,11 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 		sim.NewTicker(eng, sc.RefitPeriod, func(now float64) { e.estimator.Refit() })
 	}
 
-	resumeServed := 0.0
 	if rc != nil {
-		resumeServed = rc.Served
-	}
-	if sc.Duration > 0 {
-		srv.deadline = resumeServed + sc.Duration
-	}
-
-	if b0, ok := src.NextBatch(e.alloc); !ok {
-		srv.stopFeeding(StopSource)
-	} else if srv.deadline >= 0 && b0.At > srv.deadline {
-		srv.stopFeeding(StopDuration)
+		srv.start(rc.Served)
 	} else {
-		srv.pending = b0
-		eng.ScheduleCall(b0.At, srv.feedCb, &srv.pending)
+		srv.start(0)
 	}
-
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -401,43 +431,10 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 		srv.gate.open = true
 	}
 
-	// Live drive loop. Perpetual tickers keep the queue non-empty, so a
-	// drained queue is always a bug. Termination:
-	//   - drain stops (duration without checkpoint, job budget, source
-	//     exhaustion, cancellation): feeding is off and every admitted job
-	//     has completed;
-	//   - suspension: the next event lies past the deadline; stop without
-	//     firing it, leaving in-flight state to the checkpoint.
-	suspended := false
-	for steps := 0; ; steps++ {
-		if steps&1023 == 1023 {
-			if ctx.Err() != nil {
-				srv.stopFeeding(StopCancelled)
-			}
-		}
-		if sc.SuspendForCheckpoint {
-			// Suspension outranks drain-completion: even a run whose work
-			// happens to finish early must stop exactly at the first event
-			// past the deadline, or its fired-event count would diverge
-			// from the unsplit run it has to be a prefix of.
-			if t, ok := eng.NextEventTime(); !ok || t > srv.deadline {
-				suspended = true
-				break
-			}
-		} else if !srv.feeding && e.completed >= e.total {
-			break
-		}
-		if !eng.Step() {
-			return nil, fmt.Errorf("engine: event queue drained with %d/%d jobs done", e.completed, e.total)
-		}
-		if eng.Now() > cfg.MaxVirtualTime {
-			return nil, fmt.Errorf("%w: %d/%d jobs done at t=%.0fs", ErrTimeout, e.completed, e.total, eng.Now())
-		}
+	suspended, err := srv.drive(ctx)
+	if err != nil {
+		return nil, err
 	}
-	if e.prober != nil {
-		e.prober.Stop()
-	}
-
 	sr := &StreamResult{
 		Fed:         srv.fedJobs,
 		FedBatches:  srv.fedBatches,

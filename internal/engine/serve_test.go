@@ -8,6 +8,7 @@ import (
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/invariant"
 	"cloudburst/internal/sched"
+	"cloudburst/internal/shard"
 	"cloudburst/internal/window"
 	"cloudburst/internal/workload"
 )
@@ -23,9 +24,15 @@ func testStream(seed int64) *workload.Stream {
 	})
 }
 
+// mustServe serves under OrderPreserving, or under the per-shard
+// scheduler when cfg shards placement.
 func mustServe(t *testing.T, cfg Config, src workload.Source, sc StreamConfig) *StreamResult {
 	t.Helper()
-	res, err := Serve(context.Background(), cfg, sched.OrderPreserving{}, src, sc)
+	var s sched.Scheduler = sched.OrderPreserving{}
+	if cfg.NewScheduler != nil {
+		s = cfg.NewScheduler()
+	}
+	res, err := Serve(context.Background(), cfg, s, src, sc)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -124,6 +131,25 @@ func TestServeSourceExhaustionStops(t *testing.T) {
 	}
 }
 
+// TestServeSliceSourceChunkIDsUnique serves a pre-generated workload whose
+// large jobs get chunked. Serve pulls batch k+1 only after batch k's
+// scheduling round, so chunks minted in that round must not take the IDs
+// batch k+1 already carries — the invariant checker sees any such job
+// arriving twice.
+func TestServeSliceSourceChunkIDsUnique(t *testing.T) {
+	batches := workload.MustNewGenerator(workload.Config{
+		Bucket: workload.LargeBias, Batches: 6, Seed: 1,
+	}).Generate()
+	chk := invariant.New()
+	res := mustServe(t, Config{NetSeed: 1}, workload.NewSliceSource(batches), StreamConfig{Observer: chk})
+	if res.ChunksCreated == 0 {
+		t.Fatal("workload was not chunked; the test needs chunk IDs")
+	}
+	if vs := chk.Finish(); len(vs) > 0 {
+		t.Fatalf("%d invariant violations, first: %v", len(vs), vs[0])
+	}
+}
+
 // TestServeCancelDrainsCleanly cancels mid-run (from a window callback, so
 // transfers are guaranteed in flight) and checks the drain delivers every
 // admitted job with the invariant checker's end-of-stream verdict clean —
@@ -203,7 +229,7 @@ type splitScenario struct {
 // running D1 seconds, suspending, checkpointing, and restoring for D2 more
 // is bit-identical — same trace fingerprint, same windows, same SLA
 // metrics — to one unsplit run of D1+D2 seconds. Three seeds plus a fault
-// scenario, per the acceptance criteria.
+// and a sharded scenario.
 func TestServeSplitMatchesUnsplit(t *testing.T) {
 	scenarios := []splitScenario{
 		{name: "seed1", cfg: Config{NetSeed: 1}, seed: 1},
@@ -216,6 +242,14 @@ func TestServeSplitMatchesUnsplit(t *testing.T) {
 				ICCrash:      cluster.FaultModel{MTBF: 1800, MTTR: 300},
 				Seed:         4,
 			},
+		}},
+		// Sharded placement runs entirely inside one batch event, so a
+		// checkpoint cut never sees a commit half-way through.
+		{name: "shards", seed: 5, bursts: true, cfg: Config{
+			NetSeed:      5,
+			ECMachines:   6,
+			Shards:       &shard.Config{Count: 2, Seed: 5, MaxRetries: 2},
+			NewScheduler: func() sched.Scheduler { return sched.Greedy{} },
 		}},
 	}
 	const d1, d2 = 1700, 1900 // deliberately off the window grid
@@ -280,6 +314,10 @@ func TestServeSplitMatchesUnsplit(t *testing.T) {
 				t.Fatalf("split result diverged:\nsplit:   jobs=%d makespan=%v burst=%v icutil=%v\nunsplit: jobs=%d makespan=%v burst=%v icutil=%v",
 					second.Jobs, second.Makespan, second.BurstRatio, second.ICUtil,
 					unsplit.Jobs, unsplit.Makespan, unsplit.BurstRatio, unsplit.ICUtil)
+			}
+			if tc.cfg.Shards != nil && (unsplit.Conflicts == 0 || second.Conflicts != unsplit.Conflicts) {
+				t.Fatalf("sharded split saw %d conflicts, unsplit %d (want equal and non-zero)",
+					second.Conflicts, unsplit.Conflicts)
 			}
 			if second.VirtualTime != unsplit.VirtualTime {
 				t.Fatalf("split ends at t=%v, unsplit at t=%v", second.VirtualTime, unsplit.VirtualTime)

@@ -1,7 +1,7 @@
 // Package refsim is the differential reference simulator: a slow,
 // allocation-happy, obviously-correct twin of the production stack. It runs
 // the engine with every speed trick disabled (sim.NewReference: linear-scan
-// event selection, no event pooling, no bulk heapify, no estimator cache)
+// event selection, no event pooling, no estimator cache)
 // and with naive reimplementations of the Greedy, Op and SIBS schedulers
 // that use plain slices and linear scans in place of the fheap-based pools
 // and pipelines. Metrics are then recomputed from first principles off the

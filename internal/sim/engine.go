@@ -28,11 +28,10 @@
 // avoids container/heap's interface calls and interface{} boxing on every
 // push/pop, and the flatter tree halves the levels touched by the
 // pop-heavy drive loop (four children share a cache line of *Event
-// pointers). ScheduleBulk loads a whole wave of events (e.g. all workload
-// arrivals) in one heapify instead of n pushes. Because events are totally
-// ordered by the unique (at, seq) key, the heap arity cannot affect the
-// firing order — any correct priority queue yields the same trajectory —
-// and reference mode (NewReference) keeps a linear scan instead.
+// pointers). Because events are totally ordered by the unique (at, seq)
+// key, the heap arity cannot affect the firing order — any correct priority
+// queue yields the same trajectory — and reference mode (NewReference)
+// keeps a linear scan instead.
 //
 // Engines are reusable: Reset returns a drained or mid-run engine to the
 // zero-time state while keeping the event free list and queue capacity, so
@@ -95,7 +94,7 @@ type Engine struct {
 	stopped bool
 	fired   uint64
 	// reference selects the naive structures (linear-scan min, fresh
-	// allocation per pooled event, no bulk heapify) — see NewReference.
+	// allocation per pooled event) — see NewReference.
 	reference bool
 }
 
@@ -200,40 +199,6 @@ func (e *Engine) ScheduleTimer(at float64, cb Callback, arg any) Timer {
 // Timer.
 func (e *Engine) TimerAfter(d float64, cb Callback, arg any) Timer {
 	return e.ScheduleTimer(e.now+d, cb, arg)
-}
-
-// ScheduleBulk registers one typed callback per timestamp in one pass,
-// heapifying once instead of sifting per event — the cheap way to load an
-// entire arrival wave up front. args may be nil (every callback receives a
-// nil argument) or must have one entry per timestamp. Events fire in
-// timestamp order; equal timestamps fire in slice order.
-func (e *Engine) ScheduleBulk(ats []float64, cb Callback, args []any) {
-	if args != nil && len(args) != len(ats) {
-		panic(fmt.Sprintf("sim: bulk schedule with %d args for %d times", len(args), len(ats)))
-	}
-	for _, at := range ats {
-		e.checkTime(at)
-	}
-	for i, at := range ats {
-		ev := e.get()
-		ev.at, ev.seq, ev.cb = at, e.seq, cb
-		if args != nil {
-			ev.arg = args[i]
-		}
-		e.seq++
-		ev.index = int32(len(e.events))
-		e.events = append(e.events, ev)
-	}
-	if e.reference {
-		return
-	}
-	// Bottom-up heapify restores the invariant in O(n) even when events
-	// were already pending. The last parent is the parent of the last leaf.
-	if n := len(e.events); n > 1 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			e.down(i)
-		}
-	}
 }
 
 // Cancel removes the event from the queue if it has not fired yet.

@@ -8,14 +8,12 @@ package sim
 //     linear scan for the minimum (at, seq) instead of a binary heap.
 //   - Pooled scheduling paths allocate a fresh node per event; nothing is
 //     ever recycled through the free list.
-//   - ScheduleBulk appends without the bottom-up heapify.
 //
 // Because events are totally ordered by the unique (at, seq) key, both
 // modes fire the exact same events in the exact same order, so a model
 // driven by a reference engine produces a bit-identical trajectory. The
 // differential harness in internal/refsim leans on this to cross-check the
-// optimized structures (heap, free list, bulk heapify) against straight-
-// line code.
+// optimized structures (heap, free list) against straight-line code.
 func NewReference() *Engine {
 	return &Engine{reference: true}
 }

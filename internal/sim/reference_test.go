@@ -21,15 +21,11 @@ func driveScript(e *Engine, seed int64) []firing {
 	tag := 0
 	var timers []Timer
 
-	// An initial bulk wave, like the engine's arrival load.
-	ats := make([]float64, 40)
-	args := make([]any, 40)
-	for i := range ats {
-		ats[i] = rng.Float64() * 50
-		args[i] = tag
+	// An initial wave of pooled events.
+	for i := 0; i < 40; i++ {
+		e.ScheduleCall(rng.Float64()*50, record, tag)
 		tag++
 	}
-	e.ScheduleBulk(ats, record, args)
 
 	// A self-rescheduling ticker-like callback to exercise in-flight
 	// scheduling, plus random timers and cancels.
@@ -74,8 +70,8 @@ func driveScript(e *Engine, seed int64) []firing {
 // TestReferenceMatchesOptimized pins the central reference-mode guarantee:
 // a heap-backed engine and a linear-scan reference engine fire the exact
 // same events at the exact same times in the exact same order, including
-// under bulk loads, pooled timers, cancellations, and events scheduled
-// from inside callbacks.
+// under an initial event wave, pooled timers, cancellations, and events
+// scheduled from inside callbacks.
 func TestReferenceMatchesOptimized(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		fast := driveScript(NewEngine(), seed)

@@ -282,20 +282,25 @@ func NewSliceSource(batches []Batch) *SliceSource {
 	return &SliceSource{batches: batches}
 }
 
-// NextBatch implements Source. It bumps the allocator past the batch's
-// highest job ID so later chunk allocations cannot collide.
+// NextBatch implements Source. Its first call bumps the allocator past the
+// highest job ID of the whole slice: chunks minted while one batch is
+// scheduled must not take IDs that later batches already carry.
 func (s *SliceSource) NextBatch(ids job.IDAllocator) (Batch, bool) {
+	if c, ok := ids.(*job.Counter); ok && s.next == 0 {
+		maxID := -1
+		for _, b := range s.batches {
+			for _, j := range b.Jobs {
+				maxID = max(maxID, j.ID)
+			}
+		}
+		for c.Peek() <= maxID {
+			c.NextID()
+		}
+	}
 	if s.next >= len(s.batches) {
 		return Batch{}, false
 	}
 	b := s.batches[s.next]
 	s.next++
-	if c, ok := ids.(*job.Counter); ok {
-		for _, j := range b.Jobs {
-			for c.Peek() <= j.ID {
-				c.NextID()
-			}
-		}
-	}
 	return b, true
 }

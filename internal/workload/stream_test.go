@@ -139,16 +139,18 @@ func TestStreamConfigValidation(t *testing.T) {
 }
 
 // TestSliceSourceBumpsAllocator replays pre-generated batches and checks
-// the allocator is pushed past their IDs so chunking cannot collide.
+// the allocator is pushed past their IDs so chunking cannot collide — also
+// for chunks minted between two pulls, while a batch is being scheduled and
+// the later batches' IDs are not yet in hand.
 func TestSliceSourceBumpsAllocator(t *testing.T) {
 	g := MustNewGenerator(Config{Batches: 3, MeanJobsPerBatch: 5, Seed: 1})
 	batches := g.Generate()
 	maxID := -1
+	used := map[int]bool{}
 	for _, b := range batches {
 		for _, j := range b.Jobs {
-			if j.ID > maxID {
-				maxID = j.ID
-			}
+			maxID = max(maxID, j.ID)
+			used[j.ID] = true
 		}
 	}
 	src := NewSliceSource(batches)
@@ -160,6 +162,9 @@ func TestSliceSourceBumpsAllocator(t *testing.T) {
 			break
 		}
 		n += len(b.Jobs)
+		if id := ids.NextID(); used[id] {
+			t.Fatalf("chunk ID %d minted after batch %d belongs to a workload job", id, b.Index)
+		}
 	}
 	if n == 0 {
 		t.Fatalf("slice source yielded no jobs")

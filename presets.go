@@ -71,23 +71,3 @@ func SweepProfileFor(name string) (SweepProfile, error) {
 		OutageThrottle:     o.OutageThrottle,
 	}, nil
 }
-
-// PaperTestbed returns the paper's experimental setup (Sec. V) with every
-// default made explicit.
-//
-// Deprecated: use Preset("paper"); the registry is the single source of
-// preset vocabulary shared with the CLIs.
-func PaperTestbed() Options {
-	o, _ := Preset("paper")
-	return o
-}
-
-// HighVariance is the PaperTestbed under the paper's high-variation network
-// regime (bandwidth jitter CV ≈ 0.5).
-//
-// Deprecated: use Preset("highvar"); the registry is the single source of
-// preset vocabulary shared with the CLIs.
-func HighVariance() Options {
-	o, _ := Preset("highvar")
-	return o
-}

@@ -145,12 +145,6 @@ func (o ServiceOptions) validateService(restoring bool) error {
 	if restoring && o.MaxJobs != 0 {
 		return optErr("MaxJobs", o.MaxJobs, "cannot be combined with Restore")
 	}
-	// Sharded placement snapshots per arrival batch; the streaming engine's
-	// checkpoint/restore contract has no serialization for mid-batch commit
-	// state, so Serve stays monolithic.
-	if o.Shards != nil && o.Shards.Count > 1 {
-		return optErr("Shards", o.Shards.Count, "streaming Serve does not support sharded scheduling")
-	}
 	return nil
 }
 

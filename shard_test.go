@@ -208,13 +208,49 @@ func TestShardedScaleAcceptance(t *testing.T) {
 	}
 }
 
-func TestServeRejectsShards(t *testing.T) {
-	o := ServiceOptions{}
-	o.Shards = &ShardOptions{Count: 4}
-	_, err := Serve(nil, o)
-	var oe *OptionError
-	if !errors.As(err, &oe) || oe.Field != "Shards" {
-		t.Fatalf("Serve with shards: %v", err)
+// TestServeShardedVerified serves with sharded placement under the
+// invariant checker, then checks the checkpoint/restore guarantee holds for
+// it: sharded placement runs entirely inside one batch event, so a cut never
+// falls inside a commit and the split run's fingerprint equals the
+// unsplit run's.
+func TestServeShardedVerified(t *testing.T) {
+	const d1, d2 = 1700, 1900
+	opts := ServiceOptions{
+		Options: Options{
+			Scheduler:  Greedy,
+			ECMachines: 6,
+			Verify:     true,
+			Shards:     &ShardOptions{Count: 2},
+		},
+		WindowSec: 600,
+	}
+	unsplitOpts := opts
+	unsplitOpts.DurationSec = d1 + d2
+	unsplit, _, _ := serveAndWait(t, nil, unsplitOpts)
+	if unsplit.Fed == 0 || unsplit.Jobs < unsplit.Fed {
+		t.Fatalf("sharded serve fed %d, delivered %d", unsplit.Fed, unsplit.Jobs)
+	}
+
+	firstOpts := opts
+	firstOpts.DurationSec = d1
+	firstOpts.CheckpointAtEnd = true
+	_, _, svc := serveAndWait(t, nil, firstOpts)
+	blob, err := svc.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	second, _, _ := serveAndWait(t, nil, ServiceOptions{
+		Options:     Options{Verify: true},
+		DurationSec: d2,
+		Restore:     blob,
+	})
+	if second.Fingerprint != unsplit.Fingerprint || second.TraceEvents != unsplit.TraceEvents {
+		t.Fatalf("sharded split fingerprint %016x/%d, unsplit %016x/%d",
+			second.Fingerprint, second.TraceEvents, unsplit.Fingerprint, unsplit.TraceEvents)
+	}
+	if second.Conflicts != unsplit.Conflicts || second.Makespan != unsplit.Makespan {
+		t.Fatalf("sharded split diverged: %d conflicts / makespan %v, unsplit %d / %v",
+			second.Conflicts, second.Makespan, unsplit.Conflicts, unsplit.Makespan)
 	}
 }
 

@@ -265,8 +265,8 @@ func TestOptionsFingerprint(t *testing.T) {
 	if o.Fingerprint() != o.Normalize().Fingerprint() {
 		t.Fatal("fingerprint differs before and after Normalize")
 	}
-	if def, zero := (Options{}).Fingerprint(), PaperTestbed().Fingerprint(); def != zero {
-		t.Fatalf("zero Options and PaperTestbed fingerprints differ:\n%s\n%s", def, zero)
+	if def, zero := (Options{}).Fingerprint(), mustPreset("paper").Fingerprint(); def != zero {
+		t.Fatalf("zero Options and paper preset fingerprints differ:\n%s\n%s", def, zero)
 	}
 
 	variant := o
