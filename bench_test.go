@@ -14,6 +14,7 @@ package cloudburst
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -254,6 +255,39 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkRNGSeed prices seeding one random stream, which every run does
+// eight times: math/rand's source (the reference stats.RNG reproduces draw
+// for draw), a fresh stats.NewRNG, and an in-place Reset, as run arenas and
+// workload generation reseed their streams.
+func BenchmarkRNGSeed(b *testing.B) {
+	b.Run("MathRand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sourceSink = rand.NewSource(int64(i))
+		}
+	})
+	b.Run("NewRNG", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rngSink = stats.NewRNG(int64(i))
+		}
+	})
+	b.Run("Reset", func(b *testing.B) {
+		b.ReportAllocs()
+		g := new(stats.RNG)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Reset(int64(i))
+		}
+		rngSink = g
+	})
+}
+
+var (
+	sourceSink rand.Source
+	rngSink    *stats.RNG
+)
+
 func BenchmarkOOMetric(b *testing.B) {
 	r, err := Run(Options{Scheduler: Greedy, WorkloadSeed: benchSeed, NetSeed: benchSeed})
 	if err != nil {
@@ -314,10 +348,13 @@ func BenchmarkRunAutoscaled(b *testing.B) {
 // sweepCellsSpec is a 3 schedulers × 3 buckets × 4 seeds grid — 36
 // distinct cells, nothing dedupable — of short scenario runs (3 batches,
 // ~6 jobs each). Short cells are the regime the scenario-sweep and
-// metamorphic suites live in, where per-cell setup (bootstrap refit, RNG
-// seeding, graph construction) dominates the simulated work; that setup is
-// exactly what arena pooling amortizes away. Longer paper-testbed cells
-// are covered by the BenchmarkRun* and table benches.
+// metamorphic suites live in, where per-cell setup (bootstrap refit,
+// seeding eight RNG streams, graph construction) dominates the simulated
+// work. Arena pooling amortizes most of it: a cloned bootstrap prototype,
+// and network streams reseeded in place. Workload generation reseeds its
+// pooled streams in both benchmarks, so their ratio leaves that saving
+// out. Longer paper-testbed cells are covered by the BenchmarkRun* and
+// table benches.
 func sweepCellsSpec() SweepSpec {
 	return SweepSpec{
 		Schedulers:       []string{string(Greedy), string(OrderPreserving), string(SIBS)},

@@ -308,6 +308,23 @@ func (o Options) Normalize() Options {
 // with the offending field identified programmatically — instead of
 // panicking deep inside the simulation substrates.
 func (o Options) validate() error {
+	if err := checkFinite("", []floatField{
+		{"MeanJobsPerBatch", o.MeanJobsPerBatch},
+		{"BatchIntervalSec", o.BatchIntervalSec},
+		{"UploadMeanBW", o.UploadMeanBW},
+		{"DownloadMeanBW", o.DownloadMeanBW},
+		{"DiurnalAmplitude", o.DiurnalAmplitude},
+		{"JitterCV", o.JitterCV},
+		{"OutageMTBF", o.OutageMTBF},
+		{"OutageMeanDuration", o.OutageMeanDuration},
+		{"OutageThrottle", o.OutageThrottle},
+		{"SlackMarginSec", o.SlackMarginSec},
+		{"AutoscaleBootDelay", o.AutoscaleBootDelay},
+		{"AutoscaleTargetWait", o.AutoscaleTargetWait},
+		{"OOSampleInterval", o.OOSampleInterval},
+	}); err != nil {
+		return err
+	}
 	switch {
 	case o.Batches < 0:
 		return optErr("Batches", o.Batches, "must not be negative")
@@ -356,6 +373,14 @@ func (o Options) validate() error {
 		}
 	}
 	for i, s := range o.ExtraECSites {
+		if err := checkFinite(fmt.Sprintf("ExtraECSites[%d].", i), []floatField{
+			{"UploadMeanBW", s.UploadMeanBW},
+			{"DownloadMeanBW", s.DownloadMeanBW},
+			{"JitterCV", s.JitterCV},
+			{"OnDemandRate", s.OnDemandRate},
+		}); err != nil {
+			return err
+		}
 		switch {
 		case s.Machines < 0:
 			return optErr(fmt.Sprintf("ExtraECSites[%d].Machines", i), s.Machines, "must not be negative")

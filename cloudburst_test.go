@@ -1,7 +1,11 @@
 package cloudburst
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -430,6 +434,86 @@ func TestOptionsValidation(t *testing.T) {
 	// The zero value plus defaults must stay valid.
 	if _, err := Run(Options{Batches: 1, MeanJobsPerBatch: 2}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
+	}
+}
+
+// eachFloatOption calls visit with every float64 field reachable from v,
+// named by its path as OptionError.Field names it: embedded structs add no
+// prefix, nil struct pointers are allocated and empty struct slices get one
+// element, so that every float option of the type is reached.
+func eachFloatOption(v reflect.Value, path string, visit func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		visit(path, v)
+	case reflect.Pointer:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			eachFloatOption(v.Elem(), path, visit)
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			if v.Len() == 0 {
+				v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			}
+			for i := 0; i < v.Len(); i++ {
+				eachFloatOption(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			sf := v.Type().Field(i)
+			if !sf.IsExported() {
+				continue
+			}
+			p := path
+			if !sf.Anonymous {
+				p = strings.TrimPrefix(path+"."+sf.Name, ".")
+			}
+			eachFloatOption(v.Field(i), p, visit)
+		}
+	}
+}
+
+// TestNonFiniteOptionsRejected sets each float field reachable from
+// ServiceOptions, one at a time, to NaN and to +Inf. Each must fail
+// validation with an *OptionError naming the field; unchecked, such values
+// hang Run inside the workload generator or crash the simulation.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	inOptions := map[string]bool{}
+	eachFloatOption(reflect.ValueOf(&Options{}).Elem(), "", func(path string, _ reflect.Value) {
+		inOptions[path] = true
+	})
+	var paths []string
+	eachFloatOption(reflect.ValueOf(&ServiceOptions{}).Elem(), "", func(path string, _ reflect.Value) {
+		paths = append(paths, path)
+	})
+	for _, want := range []string{"JitterCV", "ExtraECSites[0].OnDemandRate", "Faults.RetryBackoff", "Cost.Budget", "WindowSec"} {
+		if !slices.Contains(paths, want) {
+			t.Fatalf("float fields found %v, missing %s", paths, want)
+		}
+	}
+	for _, path := range paths {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			var so ServiceOptions
+			eachFloatOption(reflect.ValueOf(&so).Elem(), "", func(p string, f reflect.Value) {
+				if p == path {
+					f.SetFloat(bad)
+				}
+			})
+			var oe *OptionError
+			err := so.normalizeService().validateService(false)
+			if !errors.As(err, &oe) || oe.Field != path {
+				t.Errorf("Serve with %s = %v: got %v, want an *OptionError naming the field", path, bad, err)
+			}
+			if !inOptions[path] {
+				continue
+			}
+			if err := so.Options.Validate(); !errors.As(err, &oe) || oe.Field != path {
+				t.Errorf("Run with %s = %v: got %v, want an *OptionError naming the field", path, bad, err)
+			}
+		}
 	}
 }
 

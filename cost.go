@@ -50,6 +50,14 @@ func (c CostOptions) normalize() CostOptions {
 // validate rejects out-of-domain cost options with typed *OptionError
 // values, mirroring Options.validate.
 func (c CostOptions) validate() error {
+	if err := checkFinite("Cost.", []floatField{
+		{"OnDemandRate", c.OnDemandRate},
+		{"SpotRate", c.SpotRate},
+		{"BillingIntervalSec", c.BillingIntervalSec},
+		{"Budget", c.Budget},
+	}); err != nil {
+		return err
+	}
 	switch {
 	case c.OnDemandRate < 0:
 		return optErr("Cost.OnDemandRate", c.OnDemandRate, "must not be negative")

@@ -2,6 +2,7 @@ package cloudburst
 
 import (
 	"fmt"
+	"math"
 
 	"cloudburst/internal/invariant"
 )
@@ -35,6 +36,26 @@ func optErr(field string, value any, reason string, args ...any) *OptionError {
 		reason = fmt.Sprintf(reason, args...)
 	}
 	return &OptionError{Field: field, Value: value, Reason: reason}
+}
+
+// floatField is one float option for checkFinite: its name under the
+// caller's prefix, and its value.
+type floatField struct {
+	name string
+	v    float64
+}
+
+// checkFinite rejects the first NaN or infinite value in fs, naming it
+// prefix+name. No float option has a meaning at either: the sign checks
+// let NaN through, and unchecked, both hang the workload generator or crash
+// the simulation. Where a field can mean "unlimited", that setting is 0.
+func checkFinite(prefix string, fs []floatField) error {
+	for _, f := range fs {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return optErr(prefix+f.name, f.v, "must be finite")
+		}
+	}
+	return nil
 }
 
 // CostError reports a failure of the cost-analysis layer — the burst

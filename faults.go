@@ -72,6 +72,17 @@ func (f FaultOptions) normalize() FaultOptions {
 // validate rejects out-of-domain fault options with typed *OptionError
 // values, mirroring Options.validate.
 func (f FaultOptions) validate() error {
+	if err := checkFinite("Faults.", []floatField{
+		{"ECRevocationMTBF", f.ECRevocationMTBF},
+		{"ECRevocationWarning", f.ECRevocationWarning},
+		{"ICCrashMTBF", f.ICCrashMTBF},
+		{"ICCrashMTTR", f.ICCrashMTTR},
+		{"TransferStallMTBF", f.TransferStallMTBF},
+		{"TransferStallTimeout", f.TransferStallTimeout},
+		{"RetryBackoff", f.RetryBackoff},
+	}); err != nil {
+		return err
+	}
 	switch {
 	case f.ECRevocationMTBF < 0:
 		return optErr("Faults.ECRevocationMTBF", f.ECRevocationMTBF, "must not be negative")

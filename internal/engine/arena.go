@@ -6,6 +6,7 @@ import (
 
 	"cloudburst/internal/qrsm"
 	"cloudburst/internal/sim"
+	"cloudburst/internal/stats"
 	"cloudburst/internal/workload"
 )
 
@@ -27,7 +28,10 @@ import (
 //     contents never leak into a new run);
 //   - bootstrapped estimators are cloned from a shared materialized
 //     prototype instead of re-observing and re-factorizing the bootstrap
-//     set.
+//     set;
+//   - the network root stream and the two link streams are reseeded in
+//     place (stats.RNG.Reset overwrites the whole generator state, so
+//     nothing of an earlier run's draws carries over).
 //
 // Safety: arenas are returned to the pool only by runs that completed
 // cleanly, after every component is scrubbed (see Engine.release). Error
@@ -53,6 +57,9 @@ type arena struct {
 	slot    int
 
 	est *qrsm.Estimator // clone target for the bootstrap prototype
+
+	// Network streams, reseeded by build on every run.
+	netRNG, upRNG, downRNG stats.RNG
 }
 
 const jobStatePageSize = 256
@@ -115,6 +122,16 @@ func (e *Engine) newJobState() *jobState {
 		return new(jobState)
 	}
 	return e.arena.newJobState()
+}
+
+// netStreams returns the network root stream and the two link streams for
+// build to seed: the arena's, or fresh ones for arena-less engines.
+func (e *Engine) netStreams() (root, up, down *stats.RNG) {
+	if e.arena == nil {
+		return new(stats.RNG), new(stats.RNG), new(stats.RNG)
+	}
+	a := e.arena
+	return &a.netRNG, &a.upRNG, &a.downRNG
 }
 
 // release scrubs the arena and returns it to the pool. Called only after a

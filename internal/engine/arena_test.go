@@ -6,7 +6,8 @@ package engine
 //     capacity, never values (TestReleaseScrubsArena);
 //  2. reused arenas are bit-identical to fresh ones — a warm recycled
 //     arena, a cold arena and a pooling-off run produce the same result
-//     to the last bit (TestArenaReuseBitIdentical);
+//     to the last bit, even when the arena's last run drew its network
+//     streams from another seed (TestArenaReuseBitIdentical);
 //  3. if a scrub were ever botched, it could not fail silently — the
 //     independent invariant checker catches leaked state the moment it
 //     touches the event stream (TestDirtyArenaCaughtByInvariantChecker),
@@ -19,6 +20,7 @@ import (
 
 	"cloudburst/internal/invariant"
 	"cloudburst/internal/job"
+	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sla"
 	"cloudburst/internal/workload"
@@ -32,7 +34,9 @@ type arenaFingerprint struct {
 
 func fingerprintRun(t *testing.T, chk *invariant.Checker) arenaFingerprint {
 	t.Helper()
-	cfg := Config{NetSeed: 43}
+	// A thin downlink, so that its jitter stream moves the result as the
+	// uplink's does; at the default width downloads are thread-limited.
+	cfg := Config{NetSeed: 43, DownloadProfile: netsim.DiurnalProfile(120*1024, 0.3)}
 	if chk != nil {
 		cfg.Tracer = chk
 	}
@@ -66,9 +70,23 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	cold := fingerprintRun(t, nil) // arena from the pool, possibly recycled
 	warm := fingerprintRun(t, nil) // arena recycled from the run above
 
+	// The arena's network streams are reseeded in place. Leave them on
+	// another seed, drawn further by outages, right before the next warm
+	// run: an incomplete reseed would change its draws.
+	g, err := workload.NewGenerator(workload.Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outages := &netsim.OutageModel{MeanTimeBetween: 240, MeanDuration: 60}
+	if _, err := Run(Config{NetSeed: 9, Outages: outages}, sched.OrderPreserving{}, g.Generate()); err != nil {
+		t.Fatal(err)
+	}
+	reseeded := fingerprintRun(t, nil)
+
 	// Exact equality, not tolerance: reuse must be invisible.
-	if cold != fresh || warm != fresh {
-		t.Fatalf("arena reuse changed the run:\n  fresh %+v\n  cold  %+v\n  warm  %+v", fresh, cold, warm)
+	if cold != fresh || warm != fresh || reseeded != fresh {
+		t.Fatalf("arena reuse changed the run:\n  fresh    %+v\n  cold     %+v\n  warm     %+v\n  reseeded %+v",
+			fresh, cold, warm, reseeded)
 	}
 
 	// The same warm run under the independent auditor: clean.

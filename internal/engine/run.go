@@ -11,7 +11,6 @@ import (
 	"cloudburst/internal/shard"
 	"cloudburst/internal/sim"
 	"cloudburst/internal/sla"
-	"cloudburst/internal/stats"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
 )
@@ -151,7 +150,10 @@ func (e *Engine) emitRunConfigured() {
 // build wires the substrates.
 func (e *Engine) build() {
 	cfg := e.cfg
-	netRNG := stats.NewRNG(cfg.NetSeed + 1)
+	netRNG, upRNG, downRNG := e.netStreams()
+	netRNG.Reset(cfg.NetSeed + 1)
+	netRNG.ForkInto(upRNG)
+	netRNG.ForkInto(downRNG)
 	e.ic = cluster.Uniform(e.eng, "ic", cfg.ICMachines, cfg.ICSpeed)
 	e.ec = cluster.Uniform(e.eng, "ec", cfg.ECMachines, cfg.ECSpeed)
 	e.attachClusterTrace(e.ic)
@@ -164,7 +166,7 @@ func (e *Engine) build() {
 		Threads:        cfg.ThreadModel,
 		Outages:        cfg.Outages,
 		OnOutage:       e.outageTrace("uplink"),
-	}, netRNG.Fork())
+	}, upRNG)
 	e.downlink = netsim.NewLink(e.eng, netsim.LinkConfig{
 		Name:           "downlink",
 		Profile:        cfg.DownloadProfile,
@@ -173,7 +175,7 @@ func (e *Engine) build() {
 		Threads:        cfg.ThreadModel,
 		Outages:        cfg.Outages,
 		OnOutage:       e.outageTrace("downlink"),
-	}, netRNG.Fork())
+	}, downRNG)
 	e.upPred = netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW)
 	e.downPred = netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW)
 	e.upTuner = netsim.NewTuner(cfg.ThreadModel, 8)

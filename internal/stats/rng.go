@@ -8,6 +8,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -15,13 +16,28 @@ import (
 // RNG wraps math/rand with the distributions needed by the workload and
 // network models. It is not safe for concurrent use; give each replication
 // its own RNG.
+//
+// An RNG keeps its generator state inline, and its rand.Rand points into
+// that state, so an RNG must not be copied after first use: pass *RNG.
+// Its draws equal those of rand.New(rand.NewSource(seed)) for every seed.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	src source
 }
 
 // NewRNG returns a generator seeded deterministically.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.Reset(seed)
+	return g
+}
+
+// Reset reseeds g in place: afterwards it draws exactly what NewRNG(seed)
+// would. It overwrites the whole state and allocates nothing, so a
+// generator can be reused across runs. Reset works on a zero RNG.
+func (g *RNG) Reset(seed int64) {
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
 }
 
 // Float64 returns a uniform variate in [0,1).
@@ -46,8 +62,13 @@ func (g *RNG) Exponential(mean float64) float64 {
 
 // Poisson returns a Poisson variate with mean lambda. For small lambda it
 // uses Knuth's product method; for large lambda it uses the PTRS
-// transformed-rejection method of Hörmann (1993), which stays O(1).
+// transformed-rejection method of Hörmann (1993), which stays O(1). A NaN
+// or infinite lambda panics: the sampler would never return or return
+// garbage, and validated inputs cannot produce one.
 func (g *RNG) Poisson(lambda float64) int {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		panic(fmt.Sprintf("stats: Poisson mean %v is not finite", lambda))
+	}
 	if lambda <= 0 {
 		return 0
 	}
@@ -160,4 +181,10 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // does not perturb the others.
 func (g *RNG) Fork() *RNG {
 	return NewRNG(g.r.Int63())
+}
+
+// ForkInto is Fork into an existing generator: it reseeds dst in place
+// with the seed Fork would have drawn, and allocates nothing.
+func (g *RNG) ForkInto(dst *RNG) {
+	dst.Reset(g.r.Int63())
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +107,20 @@ func TestPoissonEdgeCases(t *testing.T) {
 		if g.Poisson(0.001) < 0 {
 			t.Fatal("Poisson returned negative value")
 		}
+	}
+}
+
+func TestPoissonNonFinitePanics(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "not finite") {
+					t.Errorf("Poisson(%v) recovered %q, want a not-finite panic", lambda, msg)
+				}
+			}()
+			NewRNG(1).Poisson(lambda)
+		}()
 	}
 }
 

@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"cloudburst/internal/job"
 	"cloudburst/internal/stats"
@@ -195,15 +196,29 @@ func SynthFeatures(rng *stats.RNG, sizeMB float64) job.Features {
 	}
 }
 
+// genStreams are Generate's random streams: a root seeded from the config
+// and four children forked from it in field order.
+type genStreams struct {
+	root, size, feat, noise, count stats.RNG
+}
+
+// genStreamPool recycles Generate's streams. They never escape a call, and
+// Reset and ForkInto overwrite a stream's whole state, so a recycled set
+// draws exactly what a freshly allocated one would.
+var genStreamPool = sync.Pool{New: func() any { return new(genStreams) }}
+
 // Generate produces the full batch sequence with globally increasing job
-// IDs in arrival order, starting at firstID. Calling it twice yields the
-// same workload.
+// IDs in arrival order, starting at 0. Calling it twice yields the same
+// workload. It is safe to call concurrently.
 func (g *Generator) Generate() []Batch {
-	rng := stats.NewRNG(g.cfg.Seed)
-	sizeRNG := rng.Fork()
-	featRNG := rng.Fork()
-	noiseRNG := rng.Fork()
-	countRNG := rng.Fork()
+	st := genStreamPool.Get().(*genStreams)
+	defer genStreamPool.Put(st)
+	st.root.Reset(g.cfg.Seed)
+	sizeRNG, featRNG, noiseRNG, countRNG := &st.size, &st.feat, &st.noise, &st.count
+	st.root.ForkInto(sizeRNG)
+	st.root.ForkInto(featRNG)
+	st.root.ForkInto(noiseRNG)
+	st.root.ForkInto(countRNG)
 
 	ids := job.NewCounter(0)
 	batches := make([]Batch, 0, g.cfg.Batches)

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cloudburst/internal/job"
@@ -61,6 +63,38 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		if same {
 			t.Fatal("different seeds produced identical workloads")
+		}
+	}
+}
+
+// TestGenerateConcurrent runs Generate from eight goroutines at once, each
+// on its own seed, while they recycle one pool of streams: every result
+// must equal the serial one.
+func TestGenerateConcurrent(t *testing.T) {
+	const workers = 8
+	gens := make([]*Generator, workers)
+	want := make([][]Batch, workers)
+	for i := range gens {
+		gens[i] = MustNewGenerator(Config{Seed: int64(100 + i), Bucket: Bucket(i % 3)})
+		want[i] = gens[i].Generate()
+	}
+	got := make([][][]Batch, workers)
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < 4; r++ {
+				got[i] = append(got[i], gens[i].Generate())
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range gens {
+		for r, b := range got[i] {
+			if !reflect.DeepEqual(b, want[i]) {
+				t.Errorf("seed %d, concurrent call %d: workload differs from the serial call", 100+i, r)
+			}
 		}
 	}
 }

@@ -116,6 +116,16 @@ func (o ServiceOptions) validateService(restoring bool) error {
 	if err := o.Options.validate(); err != nil {
 		return err
 	}
+	if err := checkFinite("", []floatField{
+		{"BurstFactor", o.BurstFactor},
+		{"BurstMeanSec", o.BurstMeanSec},
+		{"BurstSpacingSec", o.BurstSpacingSec},
+		{"WindowSec", o.WindowSec},
+		{"DurationSec", o.DurationSec},
+		{"RefitPeriodSec", o.RefitPeriodSec},
+	}); err != nil {
+		return err
+	}
 	switch o.Arrivals {
 	case SteadyArrivals, DiurnalArrivals, FlashCrowdArrivals:
 	default:
