@@ -20,6 +20,7 @@ import (
 
 	"cloudburst/internal/engine"
 	"cloudburst/internal/experiments"
+	"cloudburst/internal/job"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/qrsm"
 	"cloudburst/internal/sim"
@@ -103,6 +104,38 @@ func benchRun(b *testing.B, s SchedulerName, bucket BucketName) {
 		if r.Jobs == 0 {
 			b.Fatal("empty run")
 		}
+	}
+}
+
+// BenchmarkRunVerify prices the checking modes on the BenchmarkRunOp run:
+// Plain, Verify (the runtime invariant checker watches every event) and
+// Audit (the stream is recorded and Report.Audit replays it).
+func BenchmarkRunVerify(b *testing.B) {
+	modes := []struct {
+		name          string
+		verify, audit bool
+	}{{"Plain", false, false}, {"Verify", true, false}, {"Audit", false, true}}
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := Run(Options{
+					Scheduler:    OrderPreserving,
+					Bucket:       Uniform,
+					WorkloadSeed: benchSeed,
+					NetSeed:      benchSeed,
+					Verify:       m.verify,
+					Audit:        m.audit,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.audit {
+					if _, err := r.Audit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -224,6 +257,45 @@ func BenchmarkQRSMRefitGrowing(b *testing.B) {
 		if est.Estimate(fs[k]) <= 0 {
 			b.Fatal("bad estimate")
 		}
+	}
+}
+
+// BenchmarkEstimatorPrepare is the layer rung for a serve round's refits:
+// six class models, each with a fit pending over a ~420-row window, the
+// shape of a busy serve-diurnal batch. Sequential materializes them one
+// estimate at a time, as the lazy path does; Prepare fits them side by
+// side first. Every op clones the pending prototype and then estimates one
+// job of each class.
+func BenchmarkEstimatorPrepare(b *testing.B) {
+	fs, ys := workload.BootstrapSet(benchSeed, 420*job.NumClasses, 0.12)
+	proto := qrsm.NewEstimator()
+	proto.Bootstrap(fs, ys)
+	probes := make([]job.Features, job.NumClasses)
+	var mask uint64
+	for c := range probes {
+		probes[c] = fs[c]
+		probes[c].Class = job.Class(c)
+		mask |= qrsm.ClassBit(job.Class(c))
+	}
+	for _, prepare := range []bool{false, true} {
+		name := "Sequential"
+		if prepare {
+			name = "Prepare"
+		}
+		b.Run(name, func(b *testing.B) {
+			var est *qrsm.Estimator
+			for i := 0; i < b.N; i++ {
+				est = proto.CloneInto(est)
+				if prepare {
+					est.Prepare(mask)
+				}
+				for _, f := range probes {
+					if est.Estimate(f) <= 0 {
+						b.Fatal("bad estimate")
+					}
+				}
+			}
+		})
 	}
 }
 

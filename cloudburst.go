@@ -195,9 +195,10 @@ type Options struct {
 	// emitted event is audited against the simulation's structural
 	// invariants (clock monotonicity, byte conservation, bandwidth
 	// ceilings, slack admissions, OO monotonicity, single delivery), and
-	// the run fails with a *VerifyError if any is violated. Expect roughly
-	// 2x the wall-clock of an untraced run; intended for CI and debugging,
-	// not production sweeps.
+	// the run fails with a *VerifyError if any is violated. It costs about
+	// 1.5x the wall-clock of an untraced run (1.25x-1.53x in
+	// BenchmarkRunVerify); intended for CI and debugging, not production
+	// sweeps.
 	Verify bool
 }
 

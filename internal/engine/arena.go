@@ -200,6 +200,8 @@ func (e *Engine) buildEstimator() *qrsm.Estimator {
 		fs, ys := workload.BootstrapSet(cfg.BootstrapSeed+7, cfg.BootstrapN, cfg.NoiseCV)
 		proto.Bootstrap(fs, ys)
 		proto.Materialize() // pay the factorization once, not per clone
+		// Settle the R² every run reports, or each clone computes it anew.
+		proto.GlobalModel().SettledR2()
 		if v, loaded := bootProtos.LoadOrStore(key, proto); loaded {
 			proto = v.(*qrsm.Estimator)
 		}

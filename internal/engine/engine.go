@@ -444,7 +444,16 @@ type Engine struct {
 	// estCache memoizes QRSM estimates per job ID for the current estimator
 	// version, so backlog scans and scheduler consultations stop paying the
 	// quadratic-model evaluation for every look at the same job.
-	estCache  []estEntry
+	estCache []estEntry
+	// prepArmed marks a scheduling round whose first estimate-cache miss
+	// has not come yet; prepJobs are the round's jobs. That miss fits every
+	// model the round will read in one concurrent pass (Estimator.Prepare)
+	// and disarms. prepVer is the cache version of the last pass, prepares
+	// counts the passes.
+	prepArmed bool
+	prepJobs  []*job.Job
+	prepVer   uint64
+	prepares  int
 	records   *sla.Set
 	completed int
 	total     int
@@ -486,12 +495,45 @@ func (e *Engine) estimateJob(j *job.Job) float64 {
 			return ent.val
 		}
 	}
+	if e.prepArmed {
+		e.prepArmed = false
+		e.prepares++
+		e.estimator.Prepare(e.roundClasses(ver))
+	}
 	v := e.estimator.Estimate(j.Features)
 	if id >= 0 {
 		e.estCache = cover(e.estCache, id)
 		e.estCache[id] = estEntry{ver: ver, val: v}
 	}
 	return v
+}
+
+// roundClasses is the class mask of every job the armed round estimates
+// with no estimate cached at ver: the round's jobs, whose chunks inherit
+// their features, and the EC jobs still uploading to any site, which state
+// and siteStates sum. Every job that reaches the upload phase was
+// estimated on its way there, so uploads miss only after the version
+// moved: at an unchanged version the table walk is skipped. A class left
+// out only loses its place in the concurrent pass; its fit stays lazy.
+func (e *Engine) roundClasses(ver uint64) uint64 {
+	var mask uint64
+	for _, j := range e.prepJobs {
+		mask |= qrsm.ClassBit(j.Features.Class)
+	}
+	if ver == e.prepVer {
+		return mask
+	}
+	e.prepVer = ver
+	for _, js := range e.states {
+		if js == nil || js.place != sched.PlaceEC || js.done || js.uploadItem == nil {
+			continue
+		}
+		if id := js.j.ID; id < len(e.estCache) && e.estCache[id].ver == ver {
+			continue
+		}
+		mask |= qrsm.ClassBit(js.j.Features.Class)
+	}
+	return mask
 }
 
 // cover returns table resliced or grown so that id indexes it. Tables grow

@@ -333,8 +333,15 @@ func (e *Engine) onBatch(b workload.Batch) {
 		return
 	}
 	before := e.alloc.Peek()
+	// Every built-in scheduler but ICOnly estimates each job it is handed,
+	// so the round's first estimate-cache miss may fit all the models the
+	// round reads at once. ICOnly estimates nothing; its rounds stay lazy.
+	if _, icOnly := e.sched.(sched.ICOnly); !icOnly {
+		e.prepArmed, e.prepJobs = true, b.Jobs
+	}
 	st := e.state()
 	decisions := e.sched.Schedule(b.Jobs, st, e.alloc)
+	e.prepArmed, e.prepJobs = false, nil
 	e.chunks += e.alloc.Peek() - before
 	e.total += len(decisions) - len(b.Jobs) // chunking grew the queue
 

@@ -349,16 +349,23 @@ func (s *server) flush(now float64) {
 // cancellation stops feeding and drains, so a cancelled run still delivers
 // every job it admitted.
 func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Source, sc StreamConfig) (*StreamResult, error) {
+	sr, _, err := serve(ctx, cfg, s, src, sc)
+	return sr, err
+}
+
+// serve is Serve that also hands back the engine it drove, for tests that
+// inspect its models afterwards.
+func serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Source, sc StreamConfig) (*StreamResult, *Engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg, err := prepareConfig(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	rc := sc.Resume
@@ -375,7 +382,7 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 	// cut, so they re-watch the replayed prefix.
 	e, err := newEngine(cfg, s, trace.Multi(srv.col, sc.Observer, srv.gate), true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	srv.e = e
 	eng := e.eng
@@ -395,7 +402,7 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 		srv.start(0)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Silent replay to the checkpoint cursor: determinism makes the first
@@ -405,27 +412,27 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 		srv.replaying = true
 		for eng.Fired() < rc.Fired {
 			if !eng.Step() {
-				return nil, &RestoreMismatchError{Field: "fired events", Want: rc.Fired, Got: eng.Fired()}
+				return nil, nil, &RestoreMismatchError{Field: "fired events", Want: rc.Fired, Got: eng.Fired()}
 			}
 			if eng.Fired()&8191 == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 		switch {
 		case eng.Now() != rc.VirtualTime:
-			return nil, &RestoreMismatchError{Field: "virtual time", Want: rc.VirtualTime, Got: eng.Now()}
+			return nil, nil, &RestoreMismatchError{Field: "virtual time", Want: rc.VirtualTime, Got: eng.Now()}
 		case srv.fedJobs != rc.FedJobs:
-			return nil, &RestoreMismatchError{Field: "fed jobs", Want: rc.FedJobs, Got: srv.fedJobs}
+			return nil, nil, &RestoreMismatchError{Field: "fed jobs", Want: rc.FedJobs, Got: srv.fedJobs}
 		case srv.fedBatches != rc.FedBatches:
-			return nil, &RestoreMismatchError{Field: "fed batches", Want: rc.FedBatches, Got: srv.fedBatches}
+			return nil, nil, &RestoreMismatchError{Field: "fed batches", Want: rc.FedBatches, Got: srv.fedBatches}
 		case e.chunks != rc.Chunks:
-			return nil, &RestoreMismatchError{Field: "chunks", Want: rc.Chunks, Got: e.chunks}
+			return nil, nil, &RestoreMismatchError{Field: "chunks", Want: rc.Chunks, Got: e.chunks}
 		case e.completed != rc.Completed:
-			return nil, &RestoreMismatchError{Field: "completed jobs", Want: rc.Completed, Got: e.completed}
+			return nil, nil, &RestoreMismatchError{Field: "completed jobs", Want: rc.Completed, Got: e.completed}
 		case srv.col.Windows() != rc.Windows:
-			return nil, &RestoreMismatchError{Field: "windows", Want: rc.Windows, Got: srv.col.Windows()}
+			return nil, nil, &RestoreMismatchError{Field: "windows", Want: rc.Windows, Got: srv.col.Windows()}
 		}
 		srv.replaying = false
 		srv.gate.open = true
@@ -433,7 +440,7 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 
 	suspended, err := srv.drive(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sr := &StreamResult{
 		Fed:         srv.fedJobs,
@@ -464,5 +471,5 @@ func Serve(ctx context.Context, cfg Config, s sched.Scheduler, src workload.Sour
 	sr.Windows = srv.col.Windows()
 	sr.Fingerprint = srv.fp.Sum64()
 	sr.TraceEvents = srv.fp.Events()
-	return sr, nil
+	return sr, e, nil
 }

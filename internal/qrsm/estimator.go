@@ -1,6 +1,12 @@
 package qrsm
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"cloudburst/internal/job"
 )
 
@@ -20,10 +26,14 @@ type Estimator struct {
 	refitEvery int
 	sinceRefit int
 	version    uint64
+
+	prep []*Model // Prepare/Materialize scratch
 }
 
-// Version counts refits. Estimate is a pure function of (features, Version):
-// observations only influence predictions after the next Refit, so callers
+// Version advances at every refit and whenever a class model first holds
+// the 2·BasisSize samples Estimate requires before consulting it. Estimate
+// is a pure function of (features, Version): observations only influence
+// predictions after the next Refit or that eligibility step, so callers
 // may cache estimates keyed by job and version and stay bit-identical.
 func (e *Estimator) Version() uint64 { return e.version }
 
@@ -87,7 +97,14 @@ func (e *Estimator) Observe(f job.Features, seconds float64) {
 	x := f.Vector()
 	e.global.Observe(x, seconds)
 	if c := int(f.Class); c >= 0 && c < len(e.perClass) {
-		e.perClass[c].Observe(x, seconds)
+		m := e.perClass[c]
+		thin := !m.wellSampled()
+		m.Observe(x, seconds)
+		if thin && m.wellSampled() {
+			// The class model may now answer for its class: estimates of
+			// that class can change without a refit.
+			e.version++
+		}
 	}
 	e.sinceRefit++
 	if e.sinceRefit >= e.refitEvery {
@@ -121,11 +138,128 @@ func (e *Estimator) Refit() {
 // prototype use this to pay the bootstrap factorizations once instead of
 // once per clone; the sharded fan-out uses it before concurrent reads.
 func (e *Estimator) Materialize() {
-	e.global.materialize()
+	ms := append(e.prep[:0], e.global)
 	for _, m := range e.perClass {
 		if m.wellSampled() {
+			ms = append(ms, m)
+		}
+	}
+	e.prep = ms
+	materializeAll(ms)
+}
+
+// ClassBit is class c's bit in a Prepare mask. Classes without a model,
+// negative or past the last bit, share the top bit, which Prepare reads as
+// a job the global model estimates.
+func ClassBit(c job.Class) uint64 {
+	if c < 0 || c >= 63 {
+		return 1 << 63
+	}
+	return 1 << uint(c)
+}
+
+// Prepare materializes, side by side, exactly the deferred fits that
+// Estimate calls for jobs of the given classes (a mask of ClassBit) would
+// run one at a time: a class model when it is well sampled; the global
+// model when some class is not, has no model, or failed its fit. It never
+// fits a model those estimates would skip, so a caller that goes on to
+// estimate a job of every class it named sees the fits, and the model
+// states, the lazy path would have produced. The engine names the jobs of
+// one scheduling round, and relies on every built-in scheduler and
+// reference twin estimating each job it is handed.
+func (e *Estimator) Prepare(classes uint64) {
+	ms := e.prep[:0]
+	global := classes>>len(e.perClass) != 0
+	for c, m := range e.perClass {
+		if classes&(1<<c) == 0 {
+			continue
+		}
+		if m.wellSampled() {
+			ms = append(ms, m)
+		} else {
+			global = true
+		}
+	}
+	if global {
+		ms = append(ms, e.global)
+	}
+	e.prep = ms
+	materializeAll(ms)
+	if global {
+		return
+	}
+	for c, m := range e.perClass {
+		if classes&(1<<c) != 0 && !m.fitted {
+			// WellDetermined is false: Estimate falls back to the global model.
+			e.global.materialize()
+			return
+		}
+	}
+}
+
+// materializeAll runs the deferred fits of ms. When two or more would
+// factor and GOMAXPROCS allows, up to GOMAXPROCS goroutines, the caller
+// included, pull models from a shared cursor, largest pending window
+// first; otherwise the caller runs them inline. Each model owns its
+// window, workspace and scratch, so the fits share no mutable state and
+// every result is bit-identical to fitting them one at a time. No
+// goroutine outlives the call: a panicking fit is re-raised on the caller
+// once every helper has returned.
+func materializeAll(ms []*Model) {
+	n := 0
+	for _, m := range ms {
+		if m.fitPending() {
+			ms[n] = m
+			n++
+		} else {
 			m.materialize()
 		}
+	}
+	ms = ms[:n]
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if workers < 2 {
+		for _, m := range ms {
+			m.materialize()
+		}
+		return
+	}
+	slices.SortStableFunc(ms, func(a, b *Model) int { return cmp.Compare(b.pendingN, a.pendingN) })
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed = len(ms) // index of the first panicking fit in pull order
+		cause  any
+	)
+	work := func() {
+		i := 0
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if i < failed {
+					failed, cause = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		for {
+			if i = int(next.Add(1) - 1); i >= len(ms) {
+				return
+			}
+			ms[i].materialize()
+		}
+	}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failed < len(ms) {
+		panic(cause)
 	}
 }
 

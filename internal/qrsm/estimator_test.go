@@ -1,11 +1,13 @@
 package qrsm
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"cloudburst/internal/job"
+	"cloudburst/internal/linalg"
 	"cloudburst/internal/stats"
 )
 
@@ -226,11 +228,14 @@ func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
 
 // TestLazyRefitsMatchEager feeds one observation stream to two estimators.
 // The eager one materializes every model after every Refit, under-determined
-// class models included; the lazy one only materializes what an estimate
-// reads. The class mix is skewed so some class models cross 2·BasisSize
-// samples mid-stream and others never do. Every Estimate and
-// EstimateConcurrent result must agree bit for bit, and the lazy side must
-// never factor a class model that is not well determined.
+// class models included, and computes each fit's R² and RMSE at once; the
+// lazy one only materializes what an estimate reads and computes
+// diagnostics on first read. The class mix is skewed so some class models
+// cross 2·BasisSize samples mid-stream and others never do. Every Estimate
+// and EstimateConcurrent result must agree bit for bit, the lazy side must
+// never factor a class model that is not well determined, and R2, RMSE and
+// SettledR2 must agree bit for bit, on the models and on clones taken
+// while their diagnostics are still owed.
 func TestLazyRefitsMatchEager(t *testing.T) {
 	weights := []float64{0.40, 0.25, 0.15, 0.10, 0.06, 0.04}
 	need := 2 * BasisSize(featureDim)
@@ -251,7 +256,7 @@ func TestLazyRefitsMatchEager(t *testing.T) {
 			return job.Class(len(weights) - 1)
 		}
 		lazy, eager := NewEstimator(), NewEstimator()
-		crossed, below := 0, 0
+		crossed, below, owed := 0, 0, 0
 		for i := 0; i < 900; i++ {
 			f := synthFeatures(g, pick())
 			y := synthTruth(f) * g.LogNormalMeanCV(1, 0.1)
@@ -259,9 +264,9 @@ func TestLazyRefitsMatchEager(t *testing.T) {
 			lazy.Observe(f, y)
 			eager.Observe(f, y)
 			if eager.Version() != v {
-				eager.global.materialize()
-				for _, m := range eager.perClass {
+				for _, m := range append([]*Model{eager.global}, eager.perClass...) {
 					m.materialize()
+					m.computeDiagnostics()
 				}
 			}
 			if i%7 != 0 {
@@ -281,6 +286,27 @@ func TestLazyRefitsMatchEager(t *testing.T) {
 					t.Fatalf("seed %d obs %d: class %d materialized a fit with %d < %d samples", seed, i, c, m.NumSamples(), need)
 				}
 			}
+			if i%21 != 0 {
+				continue
+			}
+			// Every model Materialize covered: the global one and the well
+			// sampled classes. Read a clone first, so the clone inherits
+			// diagnostics the original still owes.
+			clone := lazy.CloneInto(nil)
+			lm := append([]*Model{lazy.global}, lazy.perClass...)
+			cm := append([]*Model{clone.global}, clone.perClass...)
+			em := append([]*Model{eager.global}, eager.perClass...)
+			for k := range lm {
+				if k > 0 && !lm[k].wellSampled() {
+					continue
+				}
+				if lm[k].diagN > 0 {
+					owed++
+				}
+				for _, m := range []*Model{cm[k], lm[k]} {
+					sameDiagnostics(t, m, em[k])
+				}
+			}
 		}
 		for _, m := range lazy.perClass {
 			if m.NumSamples() >= need {
@@ -292,7 +318,68 @@ func TestLazyRefitsMatchEager(t *testing.T) {
 		if crossed == 0 || below == 0 {
 			t.Fatalf("seed %d: %d class models crossed %d samples and %d stayed below; the stream must do both", seed, crossed, need, below)
 		}
+		if owed == 0 {
+			t.Fatalf("seed %d: no read found diagnostics still owed; the lazy path went untested", seed)
+		}
 	}
+}
+
+// sameDiagnostics fails unless got and want report bit-identical R2, RMSE
+// and SettledR2. Reads materialize, so call it on models with no fit
+// pending.
+func sameDiagnostics(t *testing.T, got, want *Model) {
+	t.Helper()
+	pairs := [][2]float64{
+		{got.SettledR2(), want.SettledR2()},
+		{got.R2(), want.R2()},
+		{got.RMSE(), want.RMSE()},
+	}
+	for i, p := range pairs {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			t.Fatalf("diagnostic %d (SettledR2, R2, RMSE) = %v, want %v", i, p[0], p[1])
+		}
+	}
+}
+
+// TestFailedRefitKeepsActiveFit slides a windowed model onto samples with
+// a constant feature, so the ridge-free refit is singular. The failed fit
+// must leave the previous fit whole: the same prediction at a fixed point
+// and the same diagnostics as a clone read before the slide. It used to
+// standardize with the new window and predict with the old coefficients;
+// and a windowed model must not defer its diagnostics past the slide.
+func TestFailedRefitKeepsActiveFit(t *testing.T) {
+	g := stats.NewRNG(5)
+	m := New(2, WithRidge(0), WithWindow(8))
+	truth := func(x []float64) float64 { return 3 + x[0] + 2*x[1] + 0.5*x[0]*x[1] + 0.1*x[0]*x[0] }
+	for i := 0; i < 8; i++ {
+		x := []float64{g.Uniform(0, 10), g.Uniform(0, 10)}
+		m.Observe(x, truth(x)+g.Uniform(-1, 1))
+	}
+	if err := m.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	probe := []float64{4, 5}
+	before, err := m.Predict(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted := m.CloneInto(nil)
+	fitted.computeDiagnostics()
+	for i := 0; i < 8; i++ {
+		x := []float64{7, g.Uniform(0, 10)}
+		m.Observe(x, truth(x))
+	}
+	if err := m.Fit(); !errors.Is(err, linalg.ErrSingular) {
+		t.Fatalf("refit over a constant feature returned %v, want ErrSingular", err)
+	}
+	after, err := m.Predict(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(after) != math.Float64bits(before) {
+		t.Fatalf("failed refit moved Predict(%v) from %v to %v", probe, before, after)
+	}
+	sameDiagnostics(t, m, fitted)
 }
 
 // TestEstimateConcurrentAllocationFree pins the sharded fan-out's per-job
@@ -320,5 +407,35 @@ func TestEstimateConcurrentAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EstimateConcurrent allocates %v times per call pair, want 0", allocs)
+	}
+}
+
+// TestVersionCoversClassEligibility pins the Version contract across the
+// one change to Estimate that no refit announces: a class model reaching
+// the 2·BasisSize samples Estimate needs before consulting it. The version
+// must advance with that observation, so a cache keyed on it re-estimates.
+func TestVersionCoversClassEligibility(t *testing.T) {
+	g := stats.NewRNG(9)
+	e := NewEstimator(WithRefitEvery(1 << 30))
+	need := 2 * BasisSize(featureDim)
+	for i := 0; i < 200; i++ {
+		f := synthFeatures(g, job.Statement)
+		e.Observe(f, synthTruth(f))
+	}
+	for i := 0; i < need-1; i++ {
+		f := synthFeatures(g, job.Book)
+		e.Observe(f, 0.5*synthTruth(f))
+	}
+	e.Refit()
+	probe := synthFeatures(g, job.Book)
+	v, before := e.Version(), e.Estimate(probe)
+	f := synthFeatures(g, job.Book)
+	e.Observe(f, 0.5*synthTruth(f))
+	after := e.Estimate(probe)
+	if after == before {
+		t.Fatalf("the class model's eligibility did not move the estimate (%v); the test needs it to", after)
+	}
+	if e.Version() == v {
+		t.Fatalf("Estimate moved from %v to %v at the same Version %d", before, after, v)
 	}
 }

@@ -59,8 +59,14 @@ type Model struct {
 	scale  []float64
 	coef   []float64
 
-	r2   float64
-	rmse float64
+	// R² and RMSE of the active fit. diagN > 0 means they are still owed
+	// over the first diagN samples: unbounded windows compute them on first
+	// read, since those samples and the fit's mean, scale and coef stay
+	// intact until the next successful fit replaces the debt. Windowed
+	// models compute them at fit time, because Observe slides the samples.
+	r2    float64
+	rmse  float64
+	diagN int
 
 	// dirty is set by Observe and cleared by Fit: a fit over an unchanged
 	// window reproduces the previous result exactly, so Fit skips the
@@ -70,6 +76,7 @@ type Model struct {
 	fitDone    bool // at least one fit attempt since construction
 	fitN       int  // samples covered by the last fit attempt
 	lastFitErr error
+	fits       int // factorizations run, inherited by clones
 
 	// Deferred-fit state (RequestFit): a requested fit is only materialized
 	// when an accessor can observe its outcome. pendingN snapshots the
@@ -84,6 +91,7 @@ type Model struct {
 	// into the factorization's buffer.
 	zbuf []float64 // standardized features
 	bbuf []float64 // expanded basis row
+	std  []float64 // a fit's candidate mean and scale, committed on success
 	ws   linalg.Workspace
 }
 
@@ -245,6 +253,12 @@ func (m *Model) RequestFit() {
 	m.pendingN = len(m.ys)
 }
 
+// fitPending reports whether materialize would factor: a fit is requested
+// over a window the last fit attempt did not cover.
+func (m *Model) fitPending() bool {
+	return m.pending && !(m.fitDone && m.pendingN == m.fitN)
+}
+
 // materialize runs a deferred RequestFit, if one is outstanding.
 func (m *Model) materialize() {
 	if !m.pending {
@@ -266,51 +280,62 @@ func (m *Model) materialize() {
 }
 
 // fit solves over the first n retained observations (the full window for
-// eager fits, the request-time snapshot for deferred ones).
+// eager fits, the request-time snapshot for deferred ones). The window's
+// mean and scale go to scratch first and replace the active fit's only
+// when the solve succeeds: a failed fit leaves the previous fit whole.
 func (m *Model) fit(n int) error {
 	p := BasisSize(m.dim)
 	if n < p {
 		return fmt.Errorf("%w: have %d, need %d", ErrTooFewSamples, n, p)
 	}
-	// Standardization parameters from the current training window.
-	if m.mean == nil {
-		m.mean = make([]float64, m.dim)
-		m.scale = make([]float64, m.dim)
+	if m.std == nil {
+		m.std = make([]float64, 2*m.dim)
 	}
+	mean, scale := m.std[:m.dim], m.std[m.dim:]
 	for j := 0; j < m.dim; j++ {
 		var s float64
 		for i := 0; i < n; i++ {
 			s += m.xd[i*m.dim+j]
 		}
-		m.mean[j] = s / float64(n)
+		mean[j] = s / float64(n)
 		var v float64
 		for i := 0; i < n; i++ {
-			d := m.xd[i*m.dim+j] - m.mean[j]
+			d := m.xd[i*m.dim+j] - mean[j]
 			v += d * d
 		}
-		m.scale[j] = math.Sqrt(v / float64(n))
-		if m.scale[j] == 0 {
-			m.scale[j] = 1 // constant feature: center only
+		scale[j] = math.Sqrt(v / float64(n))
+		if scale[j] == 0 {
+			scale[j] = 1 // constant feature: center only
 		}
 	}
 	a, stride := m.ws.Design(n, p)
-	m.designInto(a, stride, n)
+	m.designInto(a, stride, n, mean, scale)
+	m.fits++
 	coef, err := m.ws.RidgeSolve(m.ys[:n], m.lambda)
 	if err != nil {
 		return fmt.Errorf("qrsm: fit failed: %w", err)
 	}
+	if m.mean == nil {
+		m.mean = make([]float64, m.dim)
+		m.scale = make([]float64, m.dim)
+	}
+	copy(m.mean, mean)
+	copy(m.scale, scale)
 	m.coef = append(m.coef[:0], coef...) // the workspace owns coef's backing
 	m.fitted = true
-	m.computeDiagnostics(n)
+	m.diagN = n
+	if m.maxSamples > 0 {
+		m.computeDiagnostics()
+	}
 	return nil
 }
 
-// designInto writes the quadratic basis of the first n standardized samples
-// into the column-major design a (column j at a[j*stride:]), column by
-// column in basisInto's term order. Every entry is the same expression
-// basisInto evaluates, so the design is bit-identical to stacking basis
-// rows.
-func (m *Model) designInto(a []float64, stride, n int) {
+// designInto writes the quadratic basis of the first n samples,
+// standardized by mean and scale, into the column-major design a (column j
+// at a[j*stride:]), column by column in basisInto's term order. Every entry
+// is the same expression basisInto evaluates, so the design is
+// bit-identical to stacking basis rows.
+func (m *Model) designInto(a []float64, stride, n int, mean, scale []float64) {
 	col := func(j int) []float64 { return a[j*stride : j*stride+n] }
 	ones := col(0)
 	for i := range ones {
@@ -319,7 +344,7 @@ func (m *Model) designInto(a []float64, stride, n int) {
 	for j := 0; j < m.dim; j++ {
 		zj := col(1 + j)
 		for i := range zj {
-			zj[i] = (m.xd[i*m.dim+j] - m.mean[j]) / m.scale[j]
+			zj[i] = (m.xd[i*m.dim+j] - mean[j]) / scale[j]
 		}
 	}
 	k := 1 + m.dim
@@ -342,8 +367,14 @@ func (m *Model) designInto(a []float64, stride, n int) {
 	}
 }
 
-// computeDiagnostics evaluates R² and RMSE over the n samples just fit.
-func (m *Model) computeDiagnostics(n int) {
+// computeDiagnostics evaluates the owed R² and RMSE of the active fit over
+// the diagN samples it covered; it does nothing when none are owed.
+func (m *Model) computeDiagnostics() {
+	n := m.diagN
+	if n == 0 {
+		return
+	}
+	m.diagN = 0
 	var sse, sst, meanY float64
 	for _, y := range m.ys[:n] {
 		meanY += y
@@ -457,6 +488,7 @@ func (m *Model) wellDeterminedRead() bool {
 // (meaningful only after Fit).
 func (m *Model) R2() float64 {
 	m.materialize()
+	m.computeDiagnostics()
 	return m.r2
 }
 
@@ -465,13 +497,21 @@ func (m *Model) R2() float64 {
 // actually served predictions — a fit that was requested but never
 // consulted does not exist yet, and a diagnostics reader should not be the
 // one to pay for its factorization.
-func (m *Model) SettledR2() float64 { return m.r2 }
+func (m *Model) SettledR2() float64 {
+	m.computeDiagnostics()
+	return m.r2
+}
 
 // RMSE returns the root-mean-square training error (after Fit).
 func (m *Model) RMSE() float64 {
 	m.materialize()
+	m.computeDiagnostics()
 	return m.rmse
 }
+
+// Factorizations counts the ridge factorizations the model has run, its
+// clones' included: a census of which fits materialized.
+func (m *Model) Factorizations() int { return m.fits }
 
 // Coefficients returns a copy of the fitted basis coefficients in the order
 // [intercept, linear..., interactions..., squares...].
@@ -502,9 +542,9 @@ func (m *Model) CloneInto(dst *Model) *Model {
 		dst.scale = append(dst.scale[:0], m.scale...)
 	}
 	dst.coef = append(dst.coef[:0], m.coef...)
-	dst.r2, dst.rmse = m.r2, m.rmse
+	dst.r2, dst.rmse, dst.diagN = m.r2, m.rmse, m.diagN
 	dst.dirty, dst.fitDone, dst.fitN = m.dirty, m.fitDone, m.fitN
-	dst.lastFitErr = m.lastFitErr
+	dst.lastFitErr, dst.fits = m.lastFitErr, m.fits
 	dst.pending, dst.pendingN = m.pending, m.pendingN
 	return dst
 }

@@ -1,6 +1,6 @@
 package trace
 
-import "fmt"
+import "strconv"
 
 // FNV-64a constants, inlined rather than taken from hash/fnv because the
 // standard hash hides its running state: a checkpointed stream must resume
@@ -39,11 +39,29 @@ func ResumeFingerprint(sum uint64, events uint64) *Fingerprint {
 	return &Fingerprint{h: sum, n: events}
 }
 
-// Emit implements Tracer.
+// Emit implements Tracer. The hashed line is the golden tests'
+// "%d|%d|%d|%d|%s|%d|%s|%s|%s|%d|%d\n" over Type, JobID, Seq, Batch,
+// Where, Site, Link, From, To, Bytes and OutputBytes (%d prints Type's
+// number, not its name), written without fmt.
 func (f *Fingerprint) Emit(ev Event) {
-	f.buf = fmt.Appendf(f.buf[:0], "%d|%d|%d|%d|%s|%d|%s|%s|%s|%d|%d\n",
-		ev.Type, ev.JobID, ev.Seq, ev.Batch, ev.Where, ev.Site,
-		ev.Link, ev.From, ev.To, ev.Bytes, ev.OutputBytes)
+	b := strconv.AppendUint(f.buf[:0], uint64(ev.Type), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(ev.JobID), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(ev.Seq), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(ev.Batch), 10)
+	b = append(append(b, '|'), ev.Where...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(ev.Site), 10)
+	b = append(append(b, '|'), ev.Link...)
+	b = append(append(b, '|'), ev.From...)
+	b = append(append(b, '|'), ev.To...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, ev.Bytes, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, ev.OutputBytes, 10)
+	f.buf = append(b, '\n')
 	h := f.h
 	for _, c := range f.buf {
 		h ^= uint64(c)
