@@ -5,7 +5,10 @@
 // Record mode (default) reads benchmark output from stdin or -in and
 // writes the JSON report to stdout or -o:
 //
-//	go test -run xxx -bench . -benchtime 1x -benchmem . | benchreport -o BENCH.json
+//	go test -run xxx -bench . -benchtime 1x -benchmem -count 5 . | benchreport -o BENCH.json
+//
+// Rows that -count repeats fold into one row per benchmark holding the
+// median of each metric and the number of rows folded.
 //
 // Compare mode gates a candidate report against a committed baseline:
 //
@@ -36,7 +39,10 @@ import (
 // benchmark must round-trip its hard-won 0, and an unmeasured one must not
 // be mistaken for allocation-free.
 type Benchmark struct {
-	Name        string   `json:"name"`
+	Name string `json:"name"`
+	// Samples counts the result rows folded into this one (go test -count);
+	// every metric below is their median.
+	Samples     int      `json:"samples,omitempty"`
 	Iterations  int64    `json:"iterations"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
@@ -124,10 +130,62 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
-	sort.Slice(rep.Benchmarks, func(i, j int) bool {
-		return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name
-	})
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, nil
+}
+
+// fold merges the rows of each benchmark into one row of per-metric
+// medians, sorted by name. A metric absent from every row stays absent.
+func fold(rows []Benchmark) []Benchmark {
+	groups := make(map[string][]Benchmark)
+	for _, b := range rows {
+		groups[b.Name] = append(groups[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(groups))
+	for name, rs := range groups {
+		b := Benchmark{
+			Name:        name,
+			Samples:     len(rs),
+			Iterations:  int64(*median(rs, func(b Benchmark) *float64 { v := float64(b.Iterations); return &v })),
+			NsPerOp:     *median(rs, func(b Benchmark) *float64 { return &b.NsPerOp }),
+			BytesPerOp:  median(rs, func(b Benchmark) *float64 { return b.BytesPerOp }),
+			AllocsPerOp: median(rs, func(b Benchmark) *float64 { return b.AllocsPerOp }),
+		}
+		for _, unit := range extraUnits(rs...) {
+			if b.Extra == nil {
+				b.Extra = make(map[string]float64)
+			}
+			b.Extra[unit] = *median(rs, func(b Benchmark) *float64 {
+				if v, ok := b.Extra[unit]; ok {
+					return &v
+				}
+				return nil
+			})
+		}
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// median returns the median of the values get reads from rows, the mean
+// of the middle two for an even count, or nil when no row has a value.
+func median(rows []Benchmark, get func(Benchmark) *float64) *float64 {
+	var vs []float64
+	for _, b := range rows {
+		if v := get(b); v != nil {
+			vs = append(vs, *v)
+		}
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	sort.Float64s(vs)
+	m := vs[len(vs)/2]
+	if len(vs)%2 == 0 {
+		m = (vs[len(vs)/2-1] + m) / 2
+	}
+	return &m
 }
 
 func load(path string) (*Report, error) {
@@ -223,20 +281,16 @@ func compare(base, cand *Report, nsTol, allocsTol float64, out io.Writer) []stri
 	return failures
 }
 
-// extraUnits returns the union of both sides' custom metric units, sorted.
-func extraUnits(b, c Benchmark) []string {
-	seen := make(map[string]bool, len(b.Extra)+len(c.Extra))
+// extraUnits returns the union of the rows' custom metric units, sorted.
+func extraUnits(rows ...Benchmark) []string {
+	seen := make(map[string]bool)
 	var out []string
-	for unit := range b.Extra {
-		if !seen[unit] {
-			seen[unit] = true
-			out = append(out, unit)
-		}
-	}
-	for unit := range c.Extra {
-		if !seen[unit] {
-			seen[unit] = true
-			out = append(out, unit)
+	for _, b := range rows {
+		for unit := range b.Extra {
+			if !seen[unit] {
+				seen[unit] = true
+				out = append(out, unit)
+			}
 		}
 	}
 	sort.Strings(out)

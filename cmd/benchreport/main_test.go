@@ -93,6 +93,34 @@ func TestParseCustomMetric(t *testing.T) {
 	}
 }
 
+func TestParseFoldsRepeats(t *testing.T) {
+	// go test -count 3 prints each benchmark three times; the report keeps
+	// one row per benchmark with each metric's median. An even count takes
+	// the mean of the middle two.
+	const out = `BenchmarkA-2   1   300 ns/op   7 cells/sec   900 B/op   12 allocs/op
+BenchmarkB-2   2   40 ns/op
+BenchmarkA-2   1   100 ns/op   5 cells/sec   500 B/op   10 allocs/op
+BenchmarkB-2   4   10 ns/op
+BenchmarkA-2   3   200 ns/op   9 cells/sec   700 B/op   11 allocs/op
+`
+	rep, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("folded into %d rows, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	a, b := rep.Benchmarks[0], rep.Benchmarks[1]
+	if a.Name != "BenchmarkA" || a.Samples != 3 || a.Iterations != 1 || a.NsPerOp != 200 ||
+		*a.BytesPerOp != 700 || *a.AllocsPerOp != 11 || a.Extra["cells/sec"] != 7 {
+		t.Errorf("BenchmarkA = %+v, want the medians of 3 rows", a)
+	}
+	if b.Name != "BenchmarkB" || b.Samples != 2 || b.Iterations != 3 || b.NsPerOp != 25 ||
+		b.BytesPerOp != nil || b.AllocsPerOp != nil || b.Extra != nil {
+		t.Errorf("BenchmarkB = %+v, want the middle means of 2 rows, memory unmeasured", b)
+	}
+}
+
 func TestParseEmpty(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\n")); err == nil {
 		t.Fatal("expected error for output without benchmarks")

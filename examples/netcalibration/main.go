@@ -28,6 +28,7 @@ func main() {
 
 	predictor := netsim.NewPredictor(24, 0.3, 300*1024) // prior: 300 kB/s
 	tuner := netsim.NewTuner(link.ThreadModel(), 1)
+	tuner.RecordHistory() // the thread statistics below read it
 	prober := netsim.NewProber(eng, link, predictor, tuner, netsim.ProberConfig{Period: 300})
 
 	// Watch the estimate converge over three days.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +34,7 @@ import (
 //     place (stats.RNG.Reset overwrites the whole generator state, so
 //     nothing of an earlier run's draws carries over).
 //
-// Safety: arenas are returned to the pool only by runs that completed
+// Safety: arenas are parked for reuse only by runs that completed
 // cleanly, after every component is scrubbed (see Engine.release). Error
 // paths abandon the arena to the collector — a half-driven event heap or a
 // partially filled state table is never reused. Reference-mode runs bypass
@@ -42,7 +43,7 @@ import (
 // fast path. The sla.Set is deliberately NOT pooled — it escapes to the
 // caller through Result.Records and may be read long after the run.
 //
-// What survives in a pooled arena between runs is capacity only, never
+// What survives in a parked arena between runs is capacity only, never
 // values: the layered defenses behind that claim (the sla.Set seq-dedup
 // panic, the sim clock monotonicity panic, and the trace auditor's
 // independent metric recomputation) are demonstrated in arena_test.go.
@@ -64,9 +65,18 @@ type arena struct {
 
 const jobStatePageSize = 256
 
-// arenaPool recycles arenas across runs; sync.Pool makes it safe for the
-// sweep engine's parallel workers, each run holding one arena exclusively.
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// arenaPool parks released arenas for the next run: a mutex-guarded
+// free list, last in first out, so the arena a run releases is the one the
+// next run gets, with the estimator windows, state tables and slab pages
+// the last run grew. It keeps at most GOMAXPROCS arenas, one per sweep
+// worker that can run at once; a release past that leaves the arena to
+// the collector. (A sync.Pool empties itself across collections and parks
+// each Put in the releasing P's private slot, so runs often missed the
+// arena just released and regrew it from nothing.)
+var arenaPool struct {
+	mu   sync.Mutex
+	free []*arena
+}
 
 // arenaPoolingOff disables reuse when set (zero value: pooling on).
 var arenaPoolingOff atomic.Bool
@@ -86,7 +96,26 @@ func acquireArena() *arena {
 	if arenaPoolingOff.Load() {
 		return new(arena)
 	}
-	return arenaPool.Get().(*arena)
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	n := len(arenaPool.free)
+	if n == 0 {
+		return new(arena)
+	}
+	a := arenaPool.free[n-1]
+	arenaPool.free[n-1] = nil
+	arenaPool.free = arenaPool.free[:n-1]
+	return a
+}
+
+// parkArena puts a scrubbed arena on the free list, unless the list
+// already holds GOMAXPROCS arenas.
+func parkArena(a *arena) {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	if len(arenaPool.free) < runtime.GOMAXPROCS(0) {
+		arenaPool.free = append(arenaPool.free, a)
+	}
 }
 
 // engine returns the arena's reusable event core, creating it on first use.
@@ -134,8 +163,9 @@ func (e *Engine) netStreams() (root, up, down *stats.RNG) {
 	return &a.netRNG, &a.upRNG, &a.downRNG
 }
 
-// release scrubs the arena and returns it to the pool. Called only after a
-// clean, fully-completed run; error paths keep the arena out of the pool.
+// release scrubs the arena and parks it for the next run. Called only after
+// a clean, fully-completed run; error paths keep the arena off the free
+// list.
 func (e *Engine) release() {
 	a := e.arena
 	if a == nil {
@@ -155,7 +185,7 @@ func (e *Engine) release() {
 	clear(a.estCache)
 	a.estCache = a.estCache[:0]
 	a.pageIdx, a.slot = 0, 0
-	arenaPool.Put(a)
+	parkArena(a)
 }
 
 // bootKey identifies one bootstrap dataset: BootstrapSet is a pure

@@ -16,6 +16,8 @@ package engine
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"cloudburst/internal/invariant"
@@ -154,6 +156,74 @@ func TestReleaseScrubsArena(t *testing.T) {
 	}
 	if a.pageIdx != 0 || a.slot != 0 {
 		t.Errorf("released arena slab cursor not rewound: page=%d slot=%d", a.pageIdx, a.slot)
+	}
+}
+
+// TestArenaSurvivesCollection pins the free list's point: a run gets the
+// arena the previous run released even when collections ran in between,
+// so it reuses that run's estimator windows, tables and slab pages instead
+// of regrowing them.
+func TestArenaSurvivesCollection(t *testing.T) {
+	prev := SetArenaPooling(true)
+	defer SetArenaPooling(prev)
+
+	g, err := workload.NewGenerator(workload.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := g.Generate()
+	e := newFiniteEngine(t, Config{NetSeed: 43}, sched.OrderPreserving{})
+	released := e.arena
+	if _, err := e.run(context.Background(), batches); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	next := newFiniteEngine(t, Config{NetSeed: 43}, sched.OrderPreserving{})
+	if next.arena != released {
+		t.Fatal("the run after two collections got another arena, not the one just released")
+	}
+	if _, err := next.run(context.Background(), batches); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArenaFreeListBound releases twice as many arenas as there are Ps at
+// once: the free list never parks more than GOMAXPROCS of them.
+func TestArenaFreeListBound(t *testing.T) {
+	prev := SetArenaPooling(true)
+	defer SetArenaPooling(prev)
+
+	procs := runtime.GOMAXPROCS(0)
+	parked := func() int {
+		arenaPool.mu.Lock()
+		defer arenaPool.mu.Unlock()
+		return len(arenaPool.free)
+	}
+	var held, done sync.WaitGroup
+	held.Add(2 * procs)
+	done.Add(2 * procs)
+	for i := 0; i < 2*procs; i++ {
+		go func() {
+			defer done.Done()
+			for round := 0; round < 20; round++ {
+				a := acquireArena()
+				if round == 0 {
+					// Hold every goroutine's first arena at once, so 2×GOMAXPROCS
+					// arenas are released together.
+					held.Done()
+					held.Wait()
+				}
+				parkArena(a)
+				if n := parked(); n > procs {
+					t.Errorf("free list holds %d arenas, GOMAXPROCS is %d", n, procs)
+				}
+			}
+		}()
+	}
+	done.Wait()
+	if n := parked(); n > procs {
+		t.Fatalf("free list holds %d arenas after the release storm, GOMAXPROCS is %d", n, procs)
 	}
 }
 

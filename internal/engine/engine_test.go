@@ -544,3 +544,34 @@ func TestBatchAndECTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTunersKeepNoHistory pins that an engine's thread tuners record
+// no history: nothing in the engine reads it, and in a serve it would grow
+// with served time. Both a finite run and a 6 h serve, with a remote site,
+// leave every tuner's history empty.
+func TestEngineTunersKeepNoHistory(t *testing.T) {
+	check := func(name string, e *Engine) {
+		tuners := []*netsim.Tuner{e.upTuner, e.downTuner}
+		for _, s := range e.sites {
+			tuners = append(tuners, s.upTuner, s.dnTuner)
+		}
+		for i, tu := range tuners {
+			if n := len(tu.History()); n != 0 {
+				t.Errorf("%s: tuner %d holds %d history samples, want 0", name, i, n)
+			}
+		}
+	}
+	cfg := Config{NetSeed: 43, RemoteSites: []RemoteSiteConfig{{Machines: 2}}}
+	e := newFiniteEngine(t, cfg, sched.OrderPreserving{})
+	if _, err := e.run(context.Background(), smallWorkload(workload.UniformMix, 42)); err != nil {
+		t.Fatal(err)
+	}
+	check("run", e)
+
+	_, served, err := serve(context.Background(), cfg, sched.OrderPreserving{}, testStream(7),
+		StreamConfig{Window: 600, Duration: 6 * 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("serve", served)
+}

@@ -597,12 +597,7 @@ func (e *Engine) complete(js *jobState, at float64, where sla.Where) {
 // resultFrom assembles the summary from the workload totals the admission
 // path tallied batch by batch as the source fed.
 func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
-	end := 0.0
-	for _, r := range e.records.Records() {
-		if r.CompletedAt > end {
-			end = r.CompletedAt
-		}
-	}
+	end := e.records.End()
 	r := &Result{
 		Scheduler:             e.sched.Name(),
 		Records:               e.records,

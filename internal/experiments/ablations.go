@@ -28,9 +28,9 @@ func metricsRow(bucket workload.Bucket, wcfg workload.Config, ecfg engine.Config
 	}
 	var peakWait, valleys float64
 	for _, r := range rs {
-		_, w, _ := r.Records.PeakStats()
+		_, w, _, v := r.Records.InOrderStats()
 		peakWait += w
-		valleys += float64(r.Records.ValleyCount())
+		valleys += float64(v)
 	}
 	n := float64(len(rs))
 	return []string{

@@ -160,7 +160,7 @@ func runOne(ctx context.Context, spec RunSpec, rep Replication) (*engine.Result,
 // resultMetrics projects an engine result onto the sweep metrics vector
 // consumed by the aggregation layer.
 func resultMetrics(r *engine.Result) sweep.Metrics {
-	peaks, stall, _ := r.Records.PeakStats()
+	peaks, stall, _, _ := r.Records.InOrderStats()
 	return sweep.Metrics{
 		Makespan:         r.Makespan,
 		Speedup:          r.Speedup,

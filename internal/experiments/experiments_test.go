@@ -153,6 +153,23 @@ func TestFigure4bThreadsTrackBandwidth(t *testing.T) {
 			t.Fatalf("threads %v out of [0,24]", th)
 		}
 	}
+	// The table reads the tuner's history, which the tuner keeps only on
+	// request: pin its text, observation count included.
+	const want = "Figure 4(b) — tuned upload threads over the day\n" +
+		"hour   threads  offered_kBps\n" +
+		"-----  -------  ------------\n" +
+		"00:00  19       812         \n" +
+		"03:00  23       900         \n" +
+		"06:00  24       812         \n" +
+		"09:00  23       600         \n" +
+		"12:00  22       388         \n" +
+		"15:00  21       300         \n" +
+		"18:00  23       388         \n" +
+		"21:00  24       600         \n" +
+		"note: neighbour-memory tuner, 479 observations; higher offered bandwidth sustains more threads\n"
+	if got := tab.String(); got != want {
+		t.Fatalf("Figure 4(b) table changed:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestFigure6BurstingBeatsICOnly(t *testing.T) {

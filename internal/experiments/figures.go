@@ -123,6 +123,7 @@ func Figure4bThreads(seed int64) (*Table, error) {
 	}, stats.NewRNG(seed))
 	pred := netsim.NewPredictor(24, 0.3, 300*1024)
 	tuner := netsim.NewTuner(link.ThreadModel(), 1)
+	tuner.RecordHistory()
 	netsim.NewProber(eng, link, pred, tuner, netsim.ProberConfig{Period: 180})
 	eng.RunUntil(netsim.Day)
 
@@ -190,11 +191,11 @@ func completionStats(bucket workload.Bucket, name string, seed int64, jitter flo
 	var p, v stats.Summary
 	var w, mp stats.Summary
 	for _, r := range rs {
-		pk, tw, m := r.Records.PeakStats()
+		pk, tw, m, vc := r.Records.InOrderStats()
 		p.Add(float64(pk))
 		w.Add(tw)
 		mp.Add(m)
-		v.Add(float64(r.Records.ValleyCount()))
+		v.Add(float64(vc))
 	}
 	return int(p.Mean()), w.Mean(), mp.Mean(), int(v.Mean()), nil
 }

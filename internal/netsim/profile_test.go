@@ -175,6 +175,7 @@ func TestThreadModelBest(t *testing.T) {
 func TestTunerConvergesTowardOptimum(t *testing.T) {
 	tm := ThreadModel{PerThread: 100, Penalty: 0.1, MaxThread: 30}
 	tu := NewTuner(tm, 1)
+	tu.RecordHistory()
 	// Feed the tuner the model's own throughput as the measurement; it
 	// should climb to the peak region (5-6) and oscillate there.
 	for i := 0; i < 60; i++ {

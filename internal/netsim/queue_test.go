@@ -123,6 +123,7 @@ func TestQueueTunerObservesTransfers(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	tu := NewTuner(l.ThreadModel(), 2)
+	tu.RecordHistory()
 	q := NewQueue(eng, "up", l, tu, 0)
 	for i := 0; i < 5; i++ {
 		q.Enqueue(&QueueItem{Bytes: 1000})

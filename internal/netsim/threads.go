@@ -79,6 +79,7 @@ type Tuner struct {
 	model   ThreadModel
 	current int
 	avg     map[int]*ewma
+	record  bool // RecordHistory armed the history
 	history []TunerSample
 }
 
@@ -129,7 +130,9 @@ func (t *Tuner) Threads() int { return t.current }
 // current thread count, completing at virtual time now, and moves the
 // tuner to the most promising neighbouring count.
 func (t *Tuner) Observe(now, achievedBW float64) {
-	t.history = append(t.history, TunerSample{T: now, Threads: t.current, BW: achievedBW})
+	if t.record {
+		t.history = append(t.history, TunerSample{T: now, Threads: t.current, BW: achievedBW})
+	}
 	cur := t.avg[t.current]
 	if cur == nil {
 		cur = &ewma{}
@@ -159,7 +162,13 @@ func (t *Tuner) Observe(now, achievedBW float64) {
 	t.current = bestN
 }
 
-// History returns the recorded tuning samples.
+// RecordHistory makes the tuner keep every later observation for History.
+// A tuner keeps none by default: an engine's tuners observe every transfer
+// and probe, and in a serve the history would grow with served time while
+// nothing reads it.
+func (t *Tuner) RecordHistory() { t.record = true }
+
+// History returns the tuning samples observed since RecordHistory.
 func (t *Tuner) History() []TunerSample { return t.history }
 
 // String describes the tuner state.

@@ -212,7 +212,7 @@ func TestEngineAgreesWithReference(t *testing.T) {
 				t.Errorf("committed spend %.9f exceeds budget %.9f", opt.CostCommitted, c.Budget)
 			}
 
-			// OO series: the optimized sla path (sorted cache) against the
+			// OO series: the optimized sla path (paged walk) against the
 			// reference recomputation (insertion sort, O(n²) evaluation).
 			optOO := opt.Records.OOSeries(ooInterval, 0, "oo")
 			refM := refsim.Recompute(ref.Records, ooInterval, 0)

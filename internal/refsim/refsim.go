@@ -71,8 +71,8 @@ func Recompute(set *sla.Set, interval float64, tol int) Metrics {
 		return m
 	}
 
-	// Sort by Seq ourselves — Records() already sorts, but the reference
-	// path must not lean on the production cache for its ordering.
+	// Sort by Seq ourselves — Records() already returns Seq order, but the
+	// reference path must not lean on the production set for its ordering.
 	for i := 1; i < len(recs); i++ {
 		for j := i; j > 0 && recs[j].Seq < recs[j-1].Seq; j-- {
 			recs[j], recs[j-1] = recs[j-1], recs[j]

@@ -18,29 +18,22 @@ func (s *Set) OOAt(t float64, tol int) (mt int, ot int64) {
 	if tol < 0 {
 		panic(fmt.Sprintf("sla: negative tolerance %d", tol))
 	}
-	recs := s.sortedRecords() // sorted by Seq; shared cache, read-only
 	mt = -1
 	completedUpTo := 0 // |J_it|: completed records with Seq ≤ current
+	var done int64     // output bytes of the records counted so far
 	// Walk in Seq order, counting completions; a record completed by t at
-	// position seq satisfies the constraint when (seq+1)−tol ≤ count.
-	for _, r := range recs {
+	// position seq satisfies the constraint when (seq+1)−tol ≤ count. Each
+	// satisfying record raises m_t to its own position, so o_t is the byte
+	// count at that moment.
+	s.each(func(r *Record) {
 		if r.CompletedAt <= t {
 			completedUpTo++
+			done += r.OutputSize
 			if (r.Seq+1)-tol <= completedUpTo {
-				if r.Seq > mt {
-					mt = r.Seq
-				}
+				mt, ot = r.Seq, done
 			}
 		}
-	}
-	if mt < 0 {
-		return -1, 0
-	}
-	for _, r := range recs {
-		if r.Seq <= mt && r.CompletedAt <= t {
-			ot += r.OutputSize
-		}
-	}
+	})
 	return mt, ot
 }
 
@@ -51,7 +44,7 @@ func (s *Set) OOSeries(interval float64, tol int, name string) *stats.TimeSeries
 		panic("sla: OO sampling interval must be positive")
 	}
 	ts := &stats.TimeSeries{Name: name}
-	if len(s.records) == 0 {
+	if s.n == 0 {
 		return ts
 	}
 	start, end := s.minArrival, s.maxDone
@@ -72,58 +65,61 @@ func (s *Set) OOSeries(interval float64, tol int, name string) *stats.TimeSeries
 // (valley) means the output was ready early. This is the quantity plotted
 // per job in the paper's Figs. 7–8.
 func (s *Set) InOrderWaitSeries(name string) *stats.TimeSeries {
-	recs := s.sortedRecords()
 	ts := &stats.TimeSeries{Name: name}
-	if len(recs) == 0 {
+	if s.n < 2 {
 		return ts
 	}
-	maxSoFar := recs[0].CompletedAt
-	for i := 1; i < len(recs); i++ {
-		ts.Append(float64(recs[i].Seq), recs[i].CompletedAt-maxSoFar)
-		if recs[i].CompletedAt > maxSoFar {
-			maxSoFar = recs[i].CompletedAt
-		}
-	}
+	ts.Points = make([]stats.Point, 0, s.n-1)
+	s.eachWait(func(r *Record, wait float64) { ts.Append(float64(r.Seq), wait) })
 	return ts
+}
+
+// eachWait calls fn with every record after the first in Seq order and its
+// in-order wait (see InOrderWaitSeries).
+func (s *Set) eachWait(fn func(r *Record, wait float64)) {
+	first, maxSoFar := true, 0.0
+	s.each(func(r *Record) {
+		if first {
+			first, maxSoFar = false, r.CompletedAt
+			return
+		}
+		fn(r, r.CompletedAt-maxSoFar)
+		if r.CompletedAt > maxSoFar {
+			maxSoFar = r.CompletedAt
+		}
+	})
 }
 
 // CompletionSeries returns completion time by sequence position.
 func (s *Set) CompletionSeries(name string) *stats.TimeSeries {
-	recs := s.sortedRecords()
 	ts := &stats.TimeSeries{Name: name}
-	for _, r := range recs {
-		ts.Append(float64(r.Seq), r.CompletedAt)
+	if s.n == 0 {
+		return ts
 	}
+	ts.Points = make([]stats.Point, 0, s.n)
+	s.each(func(r *Record) { ts.Append(float64(r.Seq), r.CompletedAt) })
 	return ts
 }
 
-// PeakStats summarizes the positive in-order waits (peaks): their count and
-// total stall seconds. The paper reads Figs. 7–8 through exactly this lens —
-// "more the number of high peaks, more is the wait period".
-func (s *Set) PeakStats() (count int, totalWait float64, maxPeak float64) {
-	ws := s.InOrderWaitSeries("w")
-	for _, p := range ws.Points {
-		if p.V > 0 {
-			count++
-			totalWait += p.V
-			if p.V > maxPeak {
-				maxPeak = p.V
+// InOrderStats summarizes the in-order waits without building the series:
+// the positive waits (peaks), their total stall seconds and the largest,
+// and the strictly negative waits (valleys, outputs ready before needed).
+// The paper reads Figs. 7–8 through exactly this lens — "more the number
+// of high peaks, more is the wait period".
+func (s *Set) InOrderStats() (peaks int, stall, maxPeak float64, valleys int) {
+	s.eachWait(func(_ *Record, wait float64) {
+		switch {
+		case wait > 0:
+			peaks++
+			stall += wait
+			if wait > maxPeak {
+				maxPeak = wait
 			}
+		case wait < 0:
+			valleys++
 		}
-	}
-	return count, totalWait, maxPeak
-}
-
-// ValleyCount counts the strictly negative in-order waits (outputs ready
-// before needed).
-func (s *Set) ValleyCount() int {
-	n := 0
-	for _, p := range s.InOrderWaitSeries("w").Points {
-		if p.V < 0 {
-			n++
-		}
-	}
-	return n
+	})
+	return peaks, stall, maxPeak, valleys
 }
 
 // OrderedFractionAt returns the fraction of total output bytes consumable

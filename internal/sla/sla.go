@@ -9,9 +9,8 @@
 package sla
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Where identifies the cloud that processed a job.
@@ -44,15 +43,17 @@ type Record struct {
 }
 
 // Set accumulates completion records for one run.
+//
+// Records live in fixed pages indexed by Seq: page k holds positions
+// [32k, 32k+32) and one occupancy bit per position. The engine hands out
+// queue positions densely from 0, so the pages fill in place, a duplicate
+// is a bit already set, and every reader walks Seq order without sorting.
+// A page is allocated when its first record lands; an untouched range
+// costs one nil pointer per 32 positions. Open jobs leave their bits
+// clear, and the readers skip them.
 type Set struct {
-	records []Record
-	seen    map[int]struct{}
-	// sorted caches the records ordered by Seq. The OO metric evaluates the
-	// sorted view once per sample point on a fine grid, so rebuilding (copy +
-	// sort) per evaluation dominated OOSeries; the cache is invalidated by
-	// Add and rebuilt at most once per mutation.
-	sorted []Record
-	dirty  bool
+	pages []*page
+	n     int // records held
 
 	// Scalar metrics fold in as records arrive, so Makespan, BurstRatio and
 	// MeanFlowTime are O(1) at read time instead of re-walking the set. The
@@ -65,9 +66,26 @@ type Set struct {
 	totalOutput int64
 }
 
+// pageShift sets the page size, 32 records. A short sweep cell holds about
+// 18 records, so a larger page wastes most of its only page; a smaller one
+// costs long runs more allocations and pointers. DESIGN.md §8 has the
+// measurements.
+const (
+	pageShift = 5
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page holds the records of 32 consecutive queue positions; bit i of done
+// marks recs[i] as completed.
+type page struct {
+	done uint32
+	recs [pageSize]Record
+}
+
 // NewSet returns an empty record set.
 func NewSet() *Set {
-	return &Set{seen: make(map[int]struct{})}
+	return &Set{}
 }
 
 // RecordError reports a malformed completion record rejected by Add. It
@@ -93,17 +111,18 @@ func (s *Set) Add(r Record) error {
 	if r.Seq < 0 {
 		return &RecordError{Seq: r.Seq, Field: "Seq", Value: r.Seq, Reason: "must not be negative"}
 	}
-	if _, dup := s.seen[r.Seq]; dup {
+	pi, bit := r.Seq>>pageShift, uint32(1)<<(r.Seq&pageMask)
+	if pi < len(s.pages) && s.pages[pi] != nil && s.pages[pi].done&bit != 0 {
 		return &RecordError{Seq: r.Seq, Field: "Seq", Value: r.Seq, Reason: "already completed (duplicate sequence)"}
 	}
 	if r.CompletedAt < r.ArrivalTime {
 		return &RecordError{Seq: r.Seq, Field: "CompletedAt", Value: r.CompletedAt,
 			Reason: fmt.Sprintf("precedes arrival %v", r.ArrivalTime)}
 	}
-	if len(s.records) == 0 || r.ArrivalTime < s.minArrival {
+	if s.n == 0 || r.ArrivalTime < s.minArrival {
 		s.minArrival = r.ArrivalTime
 	}
-	if len(s.records) == 0 || r.CompletedAt > s.maxDone {
+	if s.n == 0 || r.CompletedAt > s.maxDone {
 		s.maxDone = r.CompletedAt
 	}
 	if r.Where == EC {
@@ -111,9 +130,17 @@ func (s *Set) Add(r Record) error {
 	}
 	s.flowSum += r.CompletedAt - r.ArrivalTime
 	s.totalOutput += r.OutputSize
-	s.records = append(s.records, r)
-	s.seen[r.Seq] = struct{}{}
-	s.dirty = true
+	for pi >= len(s.pages) {
+		s.pages = append(s.pages, nil)
+	}
+	p := s.pages[pi]
+	if p == nil {
+		p = new(page)
+		s.pages[pi] = p
+	}
+	p.recs[r.Seq&pageMask] = r
+	p.done |= bit
+	s.n++
 	return nil
 }
 
@@ -126,31 +153,38 @@ func (s *Set) MustAdd(r Record) {
 }
 
 // Len returns the number of records.
-func (s *Set) Len() int { return len(s.records) }
+func (s *Set) Len() int { return s.n }
 
-// sortedRecords returns the records ordered by Seq, rebuilding the cache
-// only after a mutation. The returned slice is shared — callers must not
-// modify it (Records hands out copies).
-func (s *Set) sortedRecords() []Record {
-	if s.dirty || (s.sorted == nil && len(s.records) > 0) {
-		s.sorted = append(s.sorted[:0], s.records...)
-		// Seqs are unique (Add rejects duplicates), so the unstable sort is
-		// fully determined; SortFunc avoids sort.Slice's reflect.Swapper
-		// allocations, keeping warm refills allocation-free.
-		slices.SortFunc(s.sorted, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
-		s.dirty = false
+// each calls fn on every record in Seq order. fn must not keep r.
+func (s *Set) each(fn func(r *Record)) {
+	for _, p := range s.pages {
+		if p == nil {
+			continue
+		}
+		for m := p.done; m != 0; m &= m - 1 {
+			fn(&p.recs[bits.TrailingZeros32(m)])
+		}
 	}
-	return s.sorted
 }
 
 // Records returns a copy of the records sorted by Seq.
 func (s *Set) Records() []Record {
-	return append([]Record(nil), s.sortedRecords()...)
+	out := make([]Record, 0, s.n)
+	s.each(func(r *Record) { out = append(out, *r) })
+	return out
+}
+
+// End returns the latest completion time, or 0 for an empty set.
+func (s *Set) End() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.maxDone
 }
 
 // Makespan is eq. (7): the latest completion minus the earliest arrival.
 func (s *Set) Makespan() float64 {
-	if len(s.records) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	return s.maxDone - s.minArrival
@@ -170,22 +204,22 @@ func (s *Set) Speedup(tseq float64) float64 {
 
 // BurstRatio is eq. (12): the fraction of jobs processed in the EC.
 func (s *Set) BurstRatio() float64 {
-	if len(s.records) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return float64(s.ecCount) / float64(len(s.records))
+	return float64(s.ecCount) / float64(s.n)
 }
 
 // BatchBurstRatios is eq. (11): the burst ratio of each arrival batch.
 func (s *Set) BatchBurstRatios() map[int]float64 {
 	total := make(map[int]int)
 	burst := make(map[int]int)
-	for _, r := range s.records {
+	s.each(func(r *Record) {
 		total[r.BatchID]++
 		if r.Where == EC {
 			burst[r.BatchID]++
 		}
-	}
+	})
 	out := make(map[int]float64, len(total))
 	for b, n := range total {
 		out[b] = float64(burst[b]) / float64(n)
@@ -196,23 +230,8 @@ func (s *Set) BatchBurstRatios() map[int]float64 {
 // MeanFlowTime returns the average completion−arrival time (a secondary
 // responsiveness metric used in the ablation benches).
 func (s *Set) MeanFlowTime() float64 {
-	if len(s.records) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.flowSum / float64(len(s.records))
-}
-
-// Reset empties the set while retaining its backing storage (record slices,
-// map buckets), so a pooled set can be reused across runs without
-// reallocating. After Reset the set is semantically identical to NewSet().
-func (s *Set) Reset() {
-	s.records = s.records[:0]
-	clear(s.seen)
-	s.sorted = s.sorted[:0]
-	s.dirty = false
-	s.minArrival = 0
-	s.maxDone = 0
-	s.ecCount = 0
-	s.flowSum = 0
-	s.totalOutput = 0
+	return s.flowSum / float64(s.n)
 }

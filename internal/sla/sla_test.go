@@ -280,12 +280,12 @@ func TestPeakStatsAndValleys(t *testing.T) {
 	s.Add(rec(1, 0, 40, 1, IC)) // +30
 	s.Add(rec(2, 0, 20, 1, IC)) // -20
 	s.Add(rec(3, 0, 50, 1, IC)) // +10
-	count, total, maxPeak := s.PeakStats()
+	count, total, maxPeak, valleys := s.InOrderStats()
 	if count != 2 || total != 40 || maxPeak != 30 {
-		t.Fatalf("PeakStats = %d,%v,%v", count, total, maxPeak)
+		t.Fatalf("InOrderStats peaks = %d,%v,%v", count, total, maxPeak)
 	}
-	if s.ValleyCount() != 1 {
-		t.Fatalf("ValleyCount = %d", s.ValleyCount())
+	if valleys != 1 {
+		t.Fatalf("InOrderStats valleys = %d", valleys)
 	}
 }
 
@@ -322,9 +322,9 @@ func TestEmptySetEdge(t *testing.T) {
 	if s.InOrderWaitSeries("w").Len() != 0 {
 		t.Fatal("empty wait series should be empty")
 	}
-	c, tw, mp := s.PeakStats()
-	if c != 0 || tw != 0 || mp != 0 {
-		t.Fatal("empty PeakStats wrong")
+	c, tw, mp, v := s.InOrderStats()
+	if c != 0 || tw != 0 || mp != 0 || v != 0 {
+		t.Fatal("empty InOrderStats wrong")
 	}
 }
 
@@ -334,7 +334,7 @@ func TestSingleRecordSeries(t *testing.T) {
 	if s.InOrderWaitSeries("w").Len() != 0 {
 		t.Fatal("single record has no waits")
 	}
-	if s.ValleyCount() != 0 {
+	if _, _, _, v := s.InOrderStats(); v != 0 {
 		t.Fatal("single record has no valleys")
 	}
 }
@@ -386,42 +386,22 @@ func TestBatchBurstRatiosNeverBursting(t *testing.T) {
 	}
 }
 
-// TestResetReuseAllocFree pins the pooling contract: Reset keeps the record
-// slice, the dedup map's buckets and the sorted cache, so refilling a warm
-// set — the per-run cost when an arena recycles across sweep cells — is
-// allocation-free.
-func TestResetReuseAllocFree(t *testing.T) {
-	s := NewSet()
-	fill := func() {
-		s.Reset()
-		for i := 0; i < 128; i++ {
-			if err := s.Add(rec(i, float64(i), float64(100+i), 10, IC)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.OOAt(200, 2)
-	}
-	fill() // warm: size the slices and map buckets
-	allocs := testing.AllocsPerRun(50, fill)
-	if allocs != 0 {
-		t.Fatalf("warm Reset+refill cycle allocates %v objects, want 0", allocs)
-	}
-}
-
-// TestOOAtAllocFree pins the satellite fix: OOAt must reuse the sorted cache
-// rather than re-copying and re-sorting the record set per evaluation, so a
-// warm evaluation performs zero allocations. OOSeries calls OOAt once per
-// grid point, so any per-call allocation regresses the whole series.
+// TestOOAtAllocFree pins the readers that run per evaluation: OOAt walks
+// the pages in place (OOSeries calls it once per grid point, so any
+// per-call allocation regresses the whole series), and InOrderStats and
+// End summarize without building a series or a copy.
 func TestOOAtAllocFree(t *testing.T) {
 	s := NewSet()
 	for i := 0; i < 256; i++ {
 		s.Add(rec(i, 0, float64(100+((i*37)%256)), 10, IC))
 	}
-	s.OOAt(200, 2) // warm the sorted cache
-	allocs := testing.AllocsPerRun(50, func() {
-		s.OOAt(200, 2)
-	})
-	if allocs != 0 {
-		t.Fatalf("OOAt allocates %v objects per call after warm-up, want 0", allocs)
+	for name, read := range map[string]func(){
+		"OOAt":         func() { s.OOAt(200, 2) },
+		"InOrderStats": func() { s.InOrderStats() },
+		"End":          func() { s.End() },
+	} {
+		if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", name, allocs)
+		}
 	}
 }

@@ -69,27 +69,26 @@ func (s *Set) TicketsKept(policy TicketPolicy) TicketReport {
 	if policy == nil {
 		panic("sla: nil ticket policy")
 	}
-	recs := s.Records()
-	rep := TicketReport{Jobs: len(recs)}
-	if len(recs) == 0 {
+	rep := TicketReport{Jobs: s.n}
+	if s.n == 0 {
 		return rep
 	}
-	lateness := make([]float64, 0, len(recs))
+	lateness := make([]float64, 0, s.n)
 	var sum float64
-	for _, r := range recs {
+	s.each(func(r *Record) {
 		promise := r.ArrivalTime + policy(r.Seq, r.OutputSize)
 		late := r.CompletedAt - promise
 		if late <= 0 {
 			rep.Kept++
 			lateness = append(lateness, 0)
-			continue
+			return
 		}
 		lateness = append(lateness, late)
 		sum += late
 		if late > rep.WorstLateness {
 			rep.WorstLateness = late
 		}
-	}
+	})
 	rep.KeptRatio = float64(rep.Kept) / float64(rep.Jobs)
 	rep.MeanLateness = sum / float64(rep.Jobs)
 	sort.Float64s(lateness)
@@ -109,14 +108,11 @@ func (s *Set) MinimalUniformTicket(fraction float64) float64 {
 	if fraction <= 0 || fraction > 1 {
 		panic(fmt.Sprintf("sla: fraction %v out of (0,1]", fraction))
 	}
-	recs := s.Records()
-	if len(recs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	offsets := make([]float64, len(recs))
-	for i, r := range recs {
-		offsets[i] = r.CompletedAt - r.ArrivalTime
-	}
+	offsets := make([]float64, 0, s.n)
+	s.each(func(r *Record) { offsets = append(offsets, r.CompletedAt-r.ArrivalTime) })
 	sort.Float64s(offsets)
 	// Nearest rank: the smallest offset covering at least the fraction.
 	idx := int(math.Ceil(fraction*float64(len(offsets)))) - 1

@@ -153,6 +153,14 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// The single elements Normalize gives the empty profile, fault and cost
+// axes.
+var (
+	defaultProfile = Profile{Name: "default"}
+	defaultFaults  = FaultSet{Name: "none"}
+	defaultCosts   = CostSet{Name: "free"}
+)
+
 // Normalize returns a copy with every empty axis replaced by its single
 // default element: the Op scheduler, the uniform bucket, an unnamed default
 // network profile, no faults, and one seed (BaseSeed, default 1). It is
@@ -165,13 +173,13 @@ func (s Spec) Normalize() Spec {
 		s.Buckets = []string{"uniform"}
 	}
 	if len(s.Profiles) == 0 {
-		s.Profiles = []Profile{{Name: "default"}}
+		s.Profiles = []Profile{defaultProfile}
 	}
 	if len(s.Faults) == 0 {
-		s.Faults = []FaultSet{{Name: "none"}}
+		s.Faults = []FaultSet{defaultFaults}
 	}
 	if len(s.Costs) == 0 {
-		s.Costs = []CostSet{{Name: "free"}}
+		s.Costs = []CostSet{defaultCosts}
 	}
 	if len(s.Shards) == 0 {
 		s.Shards = []int{1}
@@ -350,9 +358,15 @@ func (c CostSet) validate(path string) error {
 	return nil
 }
 
-// Profile returns the named profile of the normalized spec.
+// Profile returns the named profile of the normalized spec. It reads the
+// axis as given, or Normalize's default when it is empty, without
+// normalizing the whole spec: every sweep cell looks its axes up.
 func (s Spec) Profile(name string) (Profile, bool) {
-	for _, p := range s.Normalize().Profiles {
+	profiles := s.Profiles
+	if len(profiles) == 0 {
+		profiles = []Profile{defaultProfile}
+	}
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, true
 		}
@@ -360,9 +374,14 @@ func (s Spec) Profile(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// FaultSet returns the named fault set of the normalized spec.
+// FaultSet returns the named fault set of the normalized spec, read as
+// Profile reads its axis.
 func (s Spec) FaultSet(name string) (FaultSet, bool) {
-	for _, f := range s.Normalize().Faults {
+	faults := s.Faults
+	if len(faults) == 0 {
+		faults = []FaultSet{defaultFaults}
+	}
+	for _, f := range faults {
 		if f.Name == name {
 			return f, true
 		}
@@ -370,9 +389,14 @@ func (s Spec) FaultSet(name string) (FaultSet, bool) {
 	return FaultSet{}, false
 }
 
-// CostSet returns the named pricing regime of the normalized spec.
+// CostSet returns the named pricing regime of the normalized spec, read as
+// Profile reads its axis.
 func (s Spec) CostSet(name string) (CostSet, bool) {
-	for _, c := range s.Normalize().Costs {
+	costs := s.Costs
+	if len(costs) == 0 {
+		costs = []CostSet{defaultCosts}
+	}
+	for _, c := range costs {
 		if c.Name == name {
 			return c, true
 		}

@@ -163,6 +163,65 @@ func TestSpecLookups(t *testing.T) {
 	}
 }
 
+// TestSpecLookupsMatchNormalize checks the axis lookups against lookups in
+// the normalized spec, on empty and populated axes with default, present
+// and unknown names, and pins them allocation-free: every sweep cell makes
+// them, and normalizing re-expands the whole seed list.
+func TestSpecLookupsMatchNormalize(t *testing.T) {
+	specs := []Spec{
+		{SeedCount: 100},
+		{
+			Profiles: []Profile{{Name: "a", JitterCV: 0.5}, {Name: "default", UploadMeanBW: 1}},
+			Faults:   []FaultSet{{Name: "f", ICCrashMTBF: 100}},
+			Costs:    []CostSet{{Name: "c", OnDemandRate: 2}, {Name: "free", SpotRate: 1}},
+			Seeds:    []int64{4, 5},
+		},
+	}
+	names := []string{"", "default", "none", "free", "a", "f", "c", "missing"}
+	for i, spec := range specs {
+		norm := spec.Normalize()
+		for _, name := range names {
+			var wantP Profile
+			var wantF FaultSet
+			var wantC CostSet
+			okP, okF, okC := false, false, false
+			for _, p := range norm.Profiles {
+				if !okP && p.Name == name {
+					wantP, okP = p, true
+				}
+			}
+			for _, f := range norm.Faults {
+				if !okF && f.Name == name {
+					wantF, okF = f, true
+				}
+			}
+			for _, c := range norm.Costs {
+				if !okC && c.Name == name {
+					wantC, okC = c, true
+				}
+			}
+			if p, ok := spec.Profile(name); p != wantP || ok != okP {
+				t.Errorf("spec %d: Profile(%q) = %+v,%v, normalized %+v,%v", i, name, p, ok, wantP, okP)
+			}
+			if f, ok := spec.FaultSet(name); f != wantF || ok != okF {
+				t.Errorf("spec %d: FaultSet(%q) = %+v,%v, normalized %+v,%v", i, name, f, ok, wantF, okF)
+			}
+			if c, ok := spec.CostSet(name); c != wantC || ok != okC {
+				t.Errorf("spec %d: CostSet(%q) = %+v,%v, normalized %+v,%v", i, name, c, ok, wantC, okC)
+			}
+		}
+		for lookup, fn := range map[string]func(){
+			"Profile":  func() { spec.Profile("default") },
+			"FaultSet": func() { spec.FaultSet("none") },
+			"CostSet":  func() { spec.CostSet("free") },
+		} {
+			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+				t.Errorf("spec %d: %s allocates %v objects, want 0", i, lookup, allocs)
+			}
+		}
+	}
+}
+
 func TestCostAxis(t *testing.T) {
 	data := []byte(`{
 		"schedulers": ["Op"],

@@ -88,7 +88,7 @@ type Report struct {
 }
 
 func newReport(o Options, res *engine.Result, rec *TraceRecorder) *Report {
-	peaks, stall, maxPeak := res.Records.PeakStats()
+	peaks, stall, maxPeak, valleys := res.Records.InOrderStats()
 	return &Report{
 		Scheduler:        o.Scheduler,
 		Bucket:           o.Bucket,
@@ -104,7 +104,7 @@ func newReport(o Options, res *engine.Result, rec *TraceRecorder) *Report {
 		PeakCount:        peaks,
 		TotalStall:       stall,
 		MaxPeak:          maxPeak,
-		ValleyCount:      res.Records.ValleyCount(),
+		ValleyCount:      valleys,
 		ECMachineSeconds: res.ECMachineSeconds,
 		ECPeakMachines:   res.ECPeakMachines,
 		SiteBursts:       res.SiteBursts,
