@@ -65,6 +65,23 @@ func TestRunVerify(t *testing.T) {
 	}
 }
 
+// TestRunVerifyStealBack verifies a rescheduled run in which steal-backs
+// withdraw queued uploads for the IC: each Rescheduled EC→IC event closes
+// the upload its placement opened, so the checker passes the run.
+func TestRunVerifyStealBack(t *testing.T) {
+	rec := NewTraceRecorder()
+	r, err := Run(Options{Rescheduling: true, Verify: true, WorkloadSeed: 1, NetSeed: 1, Trace: rec})
+	if err != nil {
+		t.Fatalf("verified rescheduled run failed: %v", err)
+	}
+	steals := countEvents(rec.Events(), func(ev TraceEvent) bool {
+		return ev.Type.String() == "Rescheduled" && ev.From == "EC"
+	})
+	if steals == 0 || r.Jobs == 0 {
+		t.Fatalf("%d steal-backs over %d jobs; the test needs at least one", steals, r.Jobs)
+	}
+}
+
 func TestRunAllSchedulers(t *testing.T) {
 	for _, s := range Schedulers() {
 		r, err := Run(fastOpts(s))

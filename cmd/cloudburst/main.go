@@ -58,7 +58,7 @@ func main() {
 		traceOut  = flag.String("trace", "", "stream the run's event trace to this file as JSON lines")
 		chromeOut = flag.String("chrome-trace", "", "write the run's timeline to this file in Chrome trace-event format (open in chrome://tracing)")
 		audit     = flag.Bool("audit", false, "replay the event trace through the independent SLA auditor and print its summary")
-		verify    = flag.Bool("verify", false, "audit every event against the runtime invariant checker; fail on any violation (~2x slower)")
+		verify    = flag.Bool("verify", false, "audit every event against the runtime invariant checker; fail on any violation (about 1.5x slower)")
 
 		ecRate     = flag.Float64("ec-rate", 0, "on-demand EC rental rate ($ per machine-hour, 0 = pricing off)")
 		ecSpotRate = flag.Float64("ec-spot-rate", 0, "spot EC rental rate under revocation faults ($ per machine-hour, 0 = on-demand rate)")

@@ -1,8 +1,6 @@
 // Package cluster models the compute side of both clouds: a set of machines
 // with relative speed factors pulling tasks from a FCFS queue, with
-// busy-time accounting for the utilization SLA, plus a map-reduce helper
-// that fans a job out across slots the way the prototype's Hadoop clusters
-// did.
+// busy-time accounting for the utilization SLA.
 package cluster
 
 import (
@@ -126,8 +124,7 @@ type Cluster struct {
 	// running or queued tasks); the rescheduling strategies hook it.
 	OnIdle func(c *Cluster)
 	// OnTaskStart/OnTaskEnd fire for every task the cluster starts or
-	// finishes, including map-reduce subtasks the engine never sees
-	// directly. The tracing subsystem hooks them; both are optional.
+	// finishes. The tracing subsystem hooks them; both are optional.
 	OnTaskStart func(at float64, t *Task, m *Machine)
 	OnTaskEnd   func(at float64, t *Task, m *Machine)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cloudburst/internal/job"
 	"cloudburst/internal/sim"
 )
 
@@ -251,61 +250,5 @@ func TestRunningTasksAndTotalSpeed(t *testing.T) {
 	eng.RunUntil(1)
 	if c.Size() != 3 || len(c.Machines()) != 3 {
 		t.Fatal("Size/Machines wrong")
-	}
-}
-
-func TestMapReduceSingleWay(t *testing.T) {
-	eng := sim.NewEngine()
-	c := Uniform(eng, "ec", 2, 1.0)
-	j := &job.Job{ID: 1, InputSize: 1, OutputSize: 1, TrueProcTime: 10}
-	var at float64
-	MapReduceJob(c, j, 10, 1, 0.1, func(a float64) { at = a })
-	eng.Run()
-	// Single way folds the merge into one task: 10*1.1... no—ways==1 adds
-	// mergeWork=0 (ways>1 required), so plain 10s.
-	if math.Abs(at-10) > 1e-9 {
-		t.Fatalf("1-way MR completed at %v, want 10", at)
-	}
-}
-
-func TestMapReduceParallelSpeedup(t *testing.T) {
-	eng := sim.NewEngine()
-	c := Uniform(eng, "ec", 4, 1.0)
-	j := &job.Job{ID: 1, InputSize: 1, OutputSize: 1, TrueProcTime: 40}
-	var at float64
-	MapReduceJob(c, j, 40, 4, 0, func(a float64) { at = a })
-	eng.Run()
-	if math.Abs(at-10) > 1e-9 {
-		t.Fatalf("4-way MR completed at %v, want 10", at)
-	}
-}
-
-func TestMapReduceMergePhase(t *testing.T) {
-	eng := sim.NewEngine()
-	c := Uniform(eng, "ec", 2, 1.0)
-	j := &job.Job{ID: 1}
-	var at float64
-	MapReduceJob(c, j, 20, 2, 0.1, func(a float64) { at = a })
-	eng.Run()
-	// Two 10s maps in parallel, then a 2s merge.
-	if math.Abs(at-12) > 1e-9 {
-		t.Fatalf("MR with merge completed at %v, want 12", at)
-	}
-}
-
-func TestMapReduceClampsWays(t *testing.T) {
-	eng := sim.NewEngine()
-	c := Uniform(eng, "ec", 2, 1.0)
-	var at float64
-	MapReduceJob(c, &job.Job{ID: 1}, 20, 100, 0, func(a float64) { at = a })
-	eng.Run()
-	// Clamped to 2 ways: 10s.
-	if math.Abs(at-10) > 1e-9 {
-		t.Fatalf("clamped MR completed at %v, want 10", at)
-	}
-	MapReduceJob(c, &job.Job{ID: 2}, 20, 0, -1, func(a float64) { at = a })
-	eng.Run()
-	if at <= 10 {
-		t.Fatal("ways=0 should clamp to 1 and still run")
 	}
 }

@@ -12,34 +12,28 @@ import (
 // and resultFrom closes whatever is still open at run end (finite runs
 // only — a suspended service's continuation still owns its rentals).
 
-// siteRate resolves the rental rate for remote site k (0-based): the
-// site's own on-demand override, else the primary on-demand rate. Remote
-// sites are never spot — the revocation fault model applies only to the
-// primary EC.
-func (e *Engine) siteRate(k int) float64 {
-	if r := e.cfg.RemoteSites[k].OnDemandRate; r > 0 {
-		return r
-	}
-	return e.cfg.Cost.OnDemandRate
-}
-
-// startMetering opens the rental clock on every machine of the initial
-// fleets: the primary EC (machine IDs 0..ECMachines-1 by construction of
-// cluster.Uniform) and each remote site. Called right after
-// emitRunConfigured so RentalStarted events follow the stream opener.
+// startMetering opens the rental clock on every machine of each site's
+// initial fleet (machine IDs 0..n-1 by construction of cluster.Uniform).
+// The primary EC is billed at the meter's rate; every other site at its
+// own on-demand override, else the on-demand rate — remote sites are never
+// spot, the revocation fault model applies only to the primary EC. Called
+// right after emitRunConfigured so RentalStarted events follow the stream
+// opener.
 func (e *Engine) startMetering() {
 	if e.meter == nil {
 		return
 	}
 	now := e.eng.Now()
-	rate := e.meter.Rate()
-	for id := 0; id < e.cfg.ECMachines; id++ {
-		e.rentalStart(e.ec.Name, id, now, rate)
-	}
 	for k, s := range e.sites {
-		r := e.siteRate(k)
-		for id := 0; id < s.cfg.Machines; id++ {
-			e.rentalStart(s.cluster.Name, id, now, r)
+		rate := e.meter.Rate()
+		if k > 0 {
+			rate = e.cfg.Cost.OnDemandRate
+			if r := e.cfg.RemoteSites[k-1].OnDemandRate; r > 0 {
+				rate = r
+			}
+		}
+		for id := 0; id < s.cluster.Size(); id++ {
+			e.rentalStart(s.cluster.Name, id, now, rate)
 		}
 	}
 }

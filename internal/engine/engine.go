@@ -56,10 +56,6 @@ type Config struct {
 	BootstrapSeed  int64
 	NoiseCV        float64 // QRSM bootstrap noise (default 0.12)
 
-	// Execution model.
-	MapWays       int     // EC map parallelism per job (default 1)
-	MergeFraction float64 // merge work fraction for MapWays > 1
-
 	// Scheduler tuning.
 	SchedConfig sched.Config
 
@@ -116,40 +112,6 @@ type Config struct {
 	// construction; the mode exists so internal/refsim can cross-check the
 	// optimized paths. Slow — not for production runs.
 	Reference bool
-
-	// OnBatch, when set, receives a trace record after each scheduling
-	// round — the observable state the scheduler saw and what it decided.
-	OnBatch func(BatchTrace)
-	// OnECJob, when set, receives a trace record when a bursted job's
-	// output lands, with its per-phase timestamps.
-	OnECJob func(ECTrace)
-}
-
-// BatchTrace captures one scheduling round for observability.
-type BatchTrace struct {
-	Now             float64
-	Batch           int
-	Decisions       int
-	Bursted         int
-	ICBacklogStd    float64
-	UploadBacklog   float64
-	ECPendingStd    float64
-	DownloadPending float64
-	PredUpBW        float64
-	PredDownBW      float64
-	Threads         int
-}
-
-// ECTrace captures one bursted job's journey through the pipeline.
-type ECTrace struct {
-	JobID       int
-	Seq         int
-	InputSize   int64
-	OutputSize  int64
-	ScheduledAt float64
-	UploadDone  float64
-	ComputeDone float64
-	Completed   float64
 }
 
 func (c Config) withDefaults() Config {
@@ -200,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NoiseCV == 0 {
 		c.NoiseCV = 0.12
-	}
-	if c.MapWays == 0 {
-		c.MapWays = 1
 	}
 	if c.ReschedulingPeriod == 0 {
 		c.ReschedulingPeriod = 30
@@ -358,16 +317,11 @@ type jobState struct {
 	seq   int
 	place sched.Placement
 
-	site        int               // 0 = primary EC; 1+k = remote site k
+	site        int               // index into Engine.sites: 0 = primary EC
 	uploadItem  *netsim.QueueItem // set while waiting/in-flight toward EC
 	icTask      *cluster.Task     // set while queued/running on the IC
 	downloading bool              // output handed to the download queue
 	done        bool
-
-	// EC phase timestamps for tracing.
-	scheduledAt float64
-	uploadDone  float64
-	computeDone float64
 
 	// attempts counts fault recoveries consumed against the retry budget.
 	attempts int
@@ -388,22 +342,16 @@ type Engine struct {
 	eng *sim.Engine
 	// arena is the run's pooled allocation backbone (nil in Reference mode
 	// and for Serve); see arena.go.
-	arena     *arena
-	ic        *cluster.Cluster
+	arena *arena
+	ic    *cluster.Cluster
+	// sites are the external clouds, the primary EC first (see sites.go);
+	// ec is sites[0].cluster, the cluster the fault, autoscale and
+	// rescheduling code act on.
+	sites     []*ecSite
 	ec        *cluster.Cluster
-	uplink    *netsim.Link
-	downlink  *netsim.Link
-	upQ       uploader
-	downQ     *netsim.Queue
-	upPred    *netsim.Predictor
-	downPred  *netsim.Predictor
-	upTuner   *netsim.Tuner
-	downTuner *netsim.Tuner
-	prober    *netsim.Prober
 	estimator *qrsm.Estimator
 
 	scaler *autoscaler
-	sites  []*ecSite
 
 	// meter accrues rental and committed-burst cost; nil when Config.Cost
 	// is unset (no events, no gate, bit-identical trajectories).
@@ -510,8 +458,8 @@ func (e *Engine) estimateJob(j *job.Job) float64 {
 
 // roundClasses is the class mask of every job the armed round estimates
 // with no estimate cached at ver: the round's jobs, whose chunks inherit
-// their features, and the EC jobs still uploading to any site, which state
-// and siteStates sum. Every job that reaches the upload phase was
+// their features, and the EC jobs still uploading to any site, which
+// tallyPending sums. Every job that reaches the upload phase was
 // estimated on its way there, so uploads miss only after the version
 // moved: at an unchanged version the table walk is skipped. A class left
 // out only loses its place in the concurrent pass; its fit stays lazy.

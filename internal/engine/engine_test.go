@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
+	"cloudburst/internal/job"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sla"
+	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
 )
 
@@ -221,15 +224,6 @@ func TestBootstrapDisabled(t *testing.T) {
 	res := mustRun(t, Config{NetSeed: 1, BootstrapN: -1}, sched.OrderPreserving{}, batches)
 	if res.Records.Len() == 0 {
 		t.Fatal("run with cold estimator failed")
-	}
-}
-
-func TestMapWaysParallelism(t *testing.T) {
-	batches := smallWorkload(workload.LargeBias, 12)
-	serial := mustRun(t, Config{NetSeed: 1}, sched.Greedy{}, batches)
-	parallel := mustRun(t, Config{NetSeed: 1, MapWays: 2, MergeFraction: 0.05}, sched.Greedy{}, batches)
-	if parallel.Records.Len() != serial.Records.Len() {
-		t.Fatal("map parallelism changed completion count")
 	}
 }
 
@@ -464,6 +458,18 @@ func TestRemoteSitesDeterministic(t *testing.T) {
 	}
 }
 
+// onSchedule wraps a scheduler and hands round each scheduling round's
+// snapshot before the scheduler sees it.
+type onSchedule struct {
+	sched.Scheduler
+	round func(st *sched.State)
+}
+
+func (o onSchedule) Schedule(batch []*job.Job, st *sched.State, alloc job.IDAllocator) []sched.Decision {
+	o.round(st)
+	return o.Scheduler.Schedule(batch, st, alloc)
+}
+
 // TestRunContextCancelMidRun cancels a run from inside its first scheduling
 // round, with well over 1,024 events still to fire. Run shares Serve's
 // drive loop, but where a cancelled Serve drains, a cancelled Run aborts
@@ -484,12 +490,12 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	defer cancel()
 	var e *Engine
 	var firedAtCancel uint64
-	e = newFiniteEngine(t, Config{NetSeed: 5, OnBatch: func(BatchTrace) {
+	e = newFiniteEngine(t, Config{NetSeed: 5}, onSchedule{sched.Greedy{}, func(*sched.State) {
 		if firedAtCancel == 0 {
 			firedAtCancel = e.eng.Fired()
 			cancel()
 		}
-	}}, sched.Greedy{})
+	}})
 	res, err := e.run(ctx, batches)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
@@ -505,43 +511,79 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestBatchAndECTraces reads a two-site run's batches and bursts back from
+// its snapshots and its trace: every round predicts positive bandwidth at
+// both sites, every batch is placed in order and its placements sum to the
+// run's jobs, every bursted job travels its site's pipeline in phase order,
+// and both sites carry bursts.
 func TestBatchAndECTraces(t *testing.T) {
 	g := workload.MustNewGenerator(workload.Config{
 		Bucket: workload.UniformMix, Batches: 4, MeanJobsPerBatch: 12, Seed: 41,
 	})
-	batches := g.Generate()
-	var batchTraces []BatchTrace
-	var ecTraces []ECTrace
-	cfg := Config{
-		NetSeed: 1,
-		OnBatch: func(b BatchTrace) { batchTraces = append(batchTraces, b) },
-		OnECJob: func(e ECTrace) { ecTraces = append(ecTraces, e) },
-	}
-	res := mustRun(t, cfg, sched.Greedy{}, batches)
-	if len(batchTraces) != 4 {
-		t.Fatalf("batch traces = %d, want 4", len(batchTraces))
-	}
-	totalDecisions := 0
-	for i, b := range batchTraces {
-		if b.Batch != i {
-			t.Fatalf("trace %d has batch %d", i, b.Batch)
+	rec := trace.NewRecorder()
+	cfg := Config{NetSeed: 1, RemoteSites: []RemoteSiteConfig{{Machines: 2}}, Tracer: rec}
+	rounds := 0
+	res := mustRun(t, cfg, onSchedule{sched.Greedy{}, func(st *sched.State) {
+		rounds++
+		bws := []float64{st.PredictUploadBW(st.Now), st.PredictDownloadBW(st.Now)}
+		for _, rs := range st.RemoteSites {
+			bws = append(bws, rs.PredictUploadBW(st.Now), rs.PredictDownloadBW(st.Now))
 		}
-		if b.PredUpBW <= 0 || b.PredDownBW <= 0 {
-			t.Fatal("trace missing predictions")
+		if len(bws) != 4 || slices.ContainsFunc(bws, func(bw float64) bool { return !(bw > 0) }) {
+			t.Fatalf("round %d predicts bandwidths %v, want four positive", rounds, bws)
 		}
-		totalDecisions += b.Decisions
+	}}, g.Generate())
+	if rounds != 4 {
+		t.Fatalf("%d scheduling rounds, want 4", rounds)
 	}
-	if totalDecisions != res.Jobs {
-		t.Fatalf("trace decisions %d != jobs %d", totalDecisions, res.Jobs)
+
+	placements, lastBatch := 0, 0
+	phases := map[int][]trace.Event{} // bursted job ID -> its EC phase events
+	site := map[int]int{}
+	for _, ev := range rec.Events() {
+		switch ev.Type {
+		case trace.PlacementDecided:
+			if ev.Batch < lastBatch {
+				t.Fatalf("batch %d placed after batch %d", ev.Batch, lastBatch)
+			}
+			lastBatch = ev.Batch
+			placements++
+			if ev.Where == "EC" {
+				site[ev.JobID] = ev.Site
+			}
+		case trace.UploadStart, trace.UploadEnd, trace.DownloadStart, trace.DownloadEnd:
+			phases[ev.JobID] = append(phases[ev.JobID], ev)
+		case trace.JobDelivered:
+			if ev.Where == "EC" {
+				phases[ev.JobID] = append(phases[ev.JobID], ev)
+			}
+		}
+	}
+	if lastBatch != 3 {
+		t.Fatalf("last placed batch %d, want 3", lastBatch)
+	}
+	if placements != res.Jobs {
+		t.Fatalf("placements %d != jobs %d", placements, res.Jobs)
 	}
 	burstedJobs := int(res.BurstRatio*float64(res.Jobs) + 0.5)
-	if len(ecTraces) != burstedJobs {
-		t.Fatalf("EC traces %d != bursted %d", len(ecTraces), burstedJobs)
+	if len(phases) != burstedJobs || len(site) != burstedJobs {
+		t.Fatalf("EC journeys %d, EC placements %d, bursted %d", len(phases), len(site), burstedJobs)
 	}
-	for _, e := range ecTraces {
-		if !(e.ScheduledAt <= e.UploadDone && e.UploadDone <= e.ComputeDone && e.ComputeDone <= e.Completed) {
-			t.Fatalf("EC phases out of order: %+v", e)
+	want := []trace.EventType{trace.UploadStart, trace.UploadEnd, trace.DownloadStart, trace.DownloadEnd, trace.JobDelivered}
+	perSite := make([]int, 2)
+	for id, evs := range phases {
+		if len(evs) != len(want) {
+			t.Fatalf("job %d: %d EC phase events, want %d: %+v", id, len(evs), len(want), evs)
 		}
+		for i, ev := range evs {
+			if ev.Type != want[i] || ev.Site != site[id] || (i > 0 && ev.T < evs[i-1].T) {
+				t.Fatalf("job %d at site %d: EC phases out of order: %+v", id, site[id], evs)
+			}
+		}
+		perSite[site[id]]++
+	}
+	if perSite[0] == 0 || perSite[1] == 0 || perSite[1] != res.SiteBursts[0] {
+		t.Fatalf("bursts per site %v, remote site reports %d", perSite, res.SiteBursts[0])
 	}
 }
 
@@ -551,9 +593,9 @@ func TestBatchAndECTraces(t *testing.T) {
 // leave every tuner's history empty.
 func TestEngineTunersKeepNoHistory(t *testing.T) {
 	check := func(name string, e *Engine) {
-		tuners := []*netsim.Tuner{e.upTuner, e.downTuner}
+		var tuners []*netsim.Tuner
 		for _, s := range e.sites {
-			tuners = append(tuners, s.upTuner, s.dnTuner)
+			tuners = append(tuners, s.upTuner, s.downTuner)
 		}
 		for i, tu := range tuners {
 			if n := len(tu.History()); n != 0 {

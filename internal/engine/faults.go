@@ -133,14 +133,15 @@ func (e *Engine) buildFaults() {
 		}
 	}
 	if f.TransferStalls.Enabled() {
-		for _, q := range e.upQ.Queues() {
+		p := e.sites[0]
+		for _, q := range p.upQ.Queues() {
 			q.EnableStalls(f.TransferStalls, rng.Fork())
-			q.OnStall = e.onTransferStall("upload", phaseUpload)
-			q.OnAbort = e.onTransferAbort("upload", phaseUpload)
+			q.OnStall = e.onTransferStall(p.upName, phaseUpload)
+			q.OnAbort = e.onTransferAbort(p.upName, phaseUpload)
 		}
-		e.downQ.EnableStalls(f.TransferStalls, rng.Fork())
-		e.downQ.OnStall = e.onTransferStall("download", phaseDownload)
-		e.downQ.OnAbort = e.onTransferAbort("download", phaseDownload)
+		p.downQ.EnableStalls(f.TransferStalls, rng.Fork())
+		p.downQ.OnStall = e.onTransferStall(p.downName, phaseDownload)
+		p.downQ.OnAbort = e.onTransferAbort(p.downName, phaseDownload)
 	}
 }
 

@@ -138,14 +138,6 @@ func TestFaultConfigRejections(t *testing.T) {
 			engine.Config{Faults: &engine.FaultConfig{TransferStalls: netsim.StallModel{MeanTimeBetween: 100}}},
 			"TransferStalls",
 		},
-		{
-			"faults with map splitting",
-			engine.Config{
-				MapWays: 2,
-				Faults:  &engine.FaultConfig{ECRevocation: cluster.FaultModel{MTBF: 100}},
-			},
-			"MapWays",
-		},
 	}
 	for _, tc := range cases {
 		_, err := engine.Run(tc.cfg, sched.OrderPreserving{}, batches)

@@ -21,7 +21,7 @@ func (e *Engine) reschedule() {
 
 func (e *Engine) stealBack() {
 	for e.ic.QueueLength() == 0 && e.ic.RunningTasks() < e.ic.Size() {
-		it := e.upQ.StealWaiting()
+		it := e.sites[0].upQ.StealWaiting()
 		if it == nil {
 			return
 		}
@@ -39,7 +39,7 @@ func (e *Engine) stealBack() {
 }
 
 func (e *Engine) idlePull() {
-	if e.upQ.Busy() || e.upQ.Backlog() > 0 || e.ec.Size() == 0 {
+	if up := e.sites[0].upQ; up.Busy() || up.Backlog() > 0 || e.ec.Size() == 0 {
 		return
 	}
 	queued := e.ic.QueuedTasks()

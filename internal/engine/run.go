@@ -110,18 +110,10 @@ func prepareConfig(cfg Config) (Config, error) {
 		if err := ff.Validate(); err != nil {
 			return cfg, fmt.Errorf("engine: invalid fault config: %w", err)
 		}
-		if ff.Enabled() && cfg.MapWays > 1 {
-			return cfg, fmt.Errorf("engine: fault injection does not support MapWays > 1")
-		}
 		cfg.Faults = &ff
 	}
-	if cfg.Shards != nil && cfg.Shards.Count > 1 {
-		if cfg.NewScheduler == nil {
-			return cfg, fmt.Errorf("engine: sharded scheduling requires a NewScheduler factory")
-		}
-		if cfg.MapWays > 1 {
-			return cfg, fmt.Errorf("engine: sharded scheduling does not support MapWays > 1")
-		}
+	if cfg.Shards != nil && cfg.Shards.Count > 1 && cfg.NewScheduler == nil {
+		return cfg, fmt.Errorf("engine: sharded scheduling requires a NewScheduler factory")
 	}
 	return cfg, nil
 }
@@ -147,65 +139,13 @@ func (e *Engine) emitRunConfigured() {
 	e.tracer.Emit(ev)
 }
 
-// build wires the substrates.
+// build wires the substrates: the IC, then the external clouds.
 func (e *Engine) build() {
 	cfg := e.cfg
-	netRNG, upRNG, downRNG := e.netStreams()
-	netRNG.Reset(cfg.NetSeed + 1)
-	netRNG.ForkInto(upRNG)
-	netRNG.ForkInto(downRNG)
 	e.ic = cluster.Uniform(e.eng, "ic", cfg.ICMachines, cfg.ICSpeed)
-	e.ec = cluster.Uniform(e.eng, "ec", cfg.ECMachines, cfg.ECSpeed)
 	e.attachClusterTrace(e.ic)
-	e.attachClusterTrace(e.ec)
-	e.uplink = netsim.NewLink(e.eng, netsim.LinkConfig{
-		Name:           "uplink",
-		Profile:        cfg.UploadProfile,
-		JitterCV:       cfg.JitterCV,
-		ResamplePeriod: cfg.ResamplePeriod,
-		Threads:        cfg.ThreadModel,
-		Outages:        cfg.Outages,
-		OnOutage:       e.outageTrace("uplink"),
-	}, upRNG)
-	e.downlink = netsim.NewLink(e.eng, netsim.LinkConfig{
-		Name:           "downlink",
-		Profile:        cfg.DownloadProfile,
-		JitterCV:       cfg.JitterCV,
-		ResamplePeriod: cfg.ResamplePeriod,
-		Threads:        cfg.ThreadModel,
-		Outages:        cfg.Outages,
-		OnOutage:       e.outageTrace("downlink"),
-	}, downRNG)
-	e.upPred = netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW)
-	e.downPred = netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW)
-	e.upTuner = netsim.NewTuner(cfg.ThreadModel, 8)
-	e.downTuner = netsim.NewTuner(cfg.ThreadModel, 8)
-
-	upMeasure := func(at, pathBW float64) { e.upPred.Observe(at, pathBW) }
-	if _, isSIBS := e.sched.(sched.BoundsPublisher); isSIBS {
-		su := netsim.NewSplitUploader(e.eng, e.uplink, e.upTuner,
-			job.Bytes(50), job.Bytes(150))
-		su.Small.OnMeasure = upMeasure
-		su.Medium.OnMeasure = upMeasure
-		su.Large.OnMeasure = upMeasure
-		e.upQ = sibsUploader{su}
-	} else {
-		q := netsim.NewQueue(e.eng, "upload", e.uplink, e.upTuner, 1)
-		q.OnMeasure = upMeasure
-		e.upQ = singleUploader{q}
-	}
-	e.downQ = netsim.NewQueue(e.eng, "download", e.downlink, e.downTuner, 1)
-	e.downQ.OnMeasure = func(at, pathBW float64) { e.downPred.Observe(at, pathBW) }
-
-	if cfg.ProbePeriod > 0 {
-		e.prober = netsim.NewProber(e.eng, e.uplink, e.upPred, e.upTuner, netsim.ProberConfig{
-			Period: cfg.ProbePeriod,
-			Bytes:  cfg.ProbeBytes,
-		})
-		e.attachProbeTrace(e.prober, "uplink")
-	}
-
-	e.buildSites(netRNG)
+	e.buildSites()
+	e.ec = e.sites[0].cluster
 
 	e.estimator = e.buildEstimator()
 
@@ -224,86 +164,38 @@ func (e *Engine) build() {
 	e.meter = newMeter(cfg)
 }
 
-// state snapshots the observable system for the scheduler.
-//
-// Predicted transfer bandwidth is the learned path capacity capped by what
-// the uploader can actually drive: each queue moves one transfer at a time
-// at the tuned thread count's limit, so a single queue cannot exceed
-// Limit(threads) even on a fatter pipe, while the three SIBS queues can
-// reach up to three times that. This is the mechanism behind the paper's
-// claim that size-interval splitting "improves the utilization of the
-// upload bandwidth by using parallel threads".
+// state snapshots the observable system for the scheduler: the primary
+// EC's site state fills the EC and transfer fields, every other site
+// becomes one RemoteSites entry.
 func (e *Engine) state() *sched.State {
-	s, m, l := e.upQ.QueueBacklogs()
-	upLimit := e.cfg.ThreadModel.Limit(e.upTuner.Threads())
-	downLimit := e.cfg.ThreadModel.Limit(e.downTuner.Threads())
-	// Effective upload parallelism: the interval count given the current
-	// bounds, discounted by how the queued bytes actually spread across
-	// the queues — when everything single-files through one interval the
-	// path behaves like one thread-limited channel no matter how many
-	// intervals exist.
-	upQueues := float64(e.upQ.Channels())
-	if tot := s + m + l; tot > 0 {
-		mx := s
-		if m > mx {
-			mx = m
-		}
-		if l > mx {
-			mx = l
-		}
-		if spread := tot / mx; spread < upQueues {
-			upQueues = spread
-		}
-	}
-	if upQueues < 1 {
-		upQueues = 1
-	}
-	capBW := func(pred, limit, queues float64) float64 {
-		if lim := limit * queues; pred > lim {
-			return lim
-		}
-		return pred
-	}
-	// Estimated compute of jobs still in the upload phase (dispatched to
-	// the EC but invisible to its cluster backlog), and output bytes that
-	// will hit the downlink but are not queued there yet.
-	var ecPending, downPending float64
-	for _, js := range e.states {
-		if js == nil || js.place != sched.PlaceEC || js.done || js.site != 0 {
-			continue
-		}
-		if js.uploadItem != nil {
-			ecPending += e.estimateJob(js.j)
-		}
-		if !js.downloading {
-			downPending += float64(js.j.OutputSize)
-		}
-	}
+	e.tallyPending()
+	ps, queues, upQueues := e.siteState(e.sites[0])
 	st := &sched.State{
-		Now:             e.eng.Now(),
-		ICBacklogStd:    e.ic.BacklogStdSeconds(),
-		ICMachines:      e.ic.Size(),
-		ICSpeed:         e.cfg.ICSpeed,
-		ECBacklogStd:    e.ec.BacklogStdSeconds(),
-		ECMachines:      e.ec.ActiveSize(),
-		ECSpeed:         e.cfg.ECSpeed,
-		ECPendingStd:    ecPending,
-		DownloadPending: downPending,
-		UploadChannels:  int(upQueues + 0.5),
-		UploadBacklog:   e.upQ.Backlog(),
-		DownloadBacklog: e.downQ.Backlog(),
-		UploadQueues:    [3]float64{s, m, l},
-		PredictUploadBW: func(t float64) float64 {
-			return capBW(e.upPred.Predict(t), upLimit, upQueues)
-		},
-		PredictDownloadBW: func(t float64) float64 {
-			return capBW(e.downPred.Predict(t), downLimit, 1)
-		},
+		Now:               e.eng.Now(),
+		ICBacklogStd:      e.ic.BacklogStdSeconds(),
+		ICMachines:        e.ic.Size(),
+		ICSpeed:           e.cfg.ICSpeed,
+		ECBacklogStd:      ps.BacklogStd,
+		ECMachines:        ps.Machines,
+		ECSpeed:           ps.Speed,
+		ECPendingStd:      ps.PendingStd,
+		DownloadPending:   ps.DownloadPending,
+		UploadChannels:    int(upQueues + 0.5),
+		UploadBacklog:     ps.UploadBacklog,
+		DownloadBacklog:   ps.DownloadBacklog,
+		UploadQueues:      queues,
+		PredictUploadBW:   ps.PredictUploadBW,
+		PredictDownloadBW: ps.PredictDownloadBW,
 		EstimateProc: func(f job.Features) float64 {
 			return e.estimator.Estimate(f)
 		},
 		EstimateJob: e.estimateJob,
-		RemoteSites: e.siteStates(),
+	}
+	if remote := e.sites[1:]; len(remote) > 0 {
+		st.RemoteSites = make([]sched.SiteState, len(remote))
+		for i, s := range remote {
+			st.RemoteSites[i], _, _ = e.siteState(s)
+		}
 	}
 	if e.meter != nil {
 		// The budget gate: schedulers quote each candidate burst through
@@ -339,38 +231,15 @@ func (e *Engine) onBatch(b workload.Batch) {
 	if _, icOnly := e.sched.(sched.ICOnly); !icOnly {
 		e.prepArmed, e.prepJobs = true, b.Jobs
 	}
-	st := e.state()
-	decisions := e.sched.Schedule(b.Jobs, st, e.alloc)
+	decisions := e.sched.Schedule(b.Jobs, e.state(), e.alloc)
 	e.prepArmed, e.prepJobs = false, nil
 	e.chunks += e.alloc.Peek() - before
 	e.total += len(decisions) - len(b.Jobs) // chunking grew the queue
 
-	if e.cfg.OnBatch != nil {
-		bursted := 0
-		for _, d := range decisions {
-			if d.Place == sched.PlaceEC {
-				bursted++
-			}
-		}
-		e.cfg.OnBatch(BatchTrace{
-			Now:             st.Now,
-			Batch:           b.Index,
-			Decisions:       len(decisions),
-			Bursted:         bursted,
-			ICBacklogStd:    st.ICBacklogStd,
-			UploadBacklog:   st.UploadBacklog,
-			ECPendingStd:    st.ECPendingStd,
-			DownloadPending: st.DownloadPending,
-			PredUpBW:        st.PredictUploadBW(st.Now),
-			PredDownBW:      st.PredictDownloadBW(st.Now),
-			Threads:         e.upTuner.Threads(),
-		})
-	}
-
 	// SIBS publishes new size-interval bounds per batch.
 	if sb, ok := e.sched.(sched.BoundsPublisher); ok {
 		if sBound, mBound, valid := sb.Bounds(); valid {
-			e.upQ.SetBounds(sBound, mBound)
+			e.sites[0].upQ.SetBounds(sBound, mBound)
 		}
 	}
 
@@ -412,18 +281,17 @@ func (e *Engine) processDecision(d sched.Decision, batch, shard1, epoch, machine
 			Shard:   shard1, Epoch: epoch, Machine: machine, Attempt: attempt,
 		})
 	}
-	if d.Place == sched.PlaceEC {
-		e.commitBurst(js, d.EstProcStd, e.eng.Now())
-	}
-	switch {
-	case d.Place == sched.PlaceIC:
+	if d.Place == sched.PlaceIC {
 		e.submitIC(js)
-	case d.Site > 0 && d.Site <= len(e.sites):
-		js.site = d.Site
-		e.submitUploadSite(js, e.sites[d.Site-1])
-	default:
-		e.submitUpload(js)
+		return
 	}
+	e.commitBurst(js, d.EstProcStd, e.eng.Now())
+	// A site index out of range bursts to the primary EC.
+	if d.Site > 0 && d.Site < len(e.sites) {
+		js.site = d.Site
+	}
+	e.sites[js.site].bursts++
+	e.submitUpload(js)
 }
 
 // submitIC runs the job on the internal cloud; its output is locally
@@ -442,102 +310,8 @@ func (e *Engine) submitIC(js *jobState) {
 	e.ic.Submit(t)
 }
 
-// submitUpload starts the EC path: upload, remote compute, download.
-func (e *Engine) submitUpload(js *jobState) {
-	js.scheduledAt = e.eng.Now()
-	if e.wants(trace.UploadStart) {
-		e.tracer.Emit(trace.Event{
-			Type: trace.UploadStart, T: js.scheduledAt,
-			JobID: js.j.ID, Seq: js.seq, Link: "upload", Bytes: js.j.InputSize,
-		})
-	}
-	it := &netsim.QueueItem{
-		Bytes: js.j.InputSize,
-		Meta:  js,
-		OnDone: func(at float64, it *netsim.QueueItem, bw float64) {
-			js.uploadItem = nil
-			js.uploadDone = at
-			e.uploadedBytes += it.Bytes
-			if e.wants(trace.UploadEnd) {
-				e.tracer.Emit(trace.Event{
-					Type: trace.UploadEnd, T: at,
-					JobID: js.j.ID, Seq: js.seq, Link: "upload", Bytes: it.Bytes, BW: bw,
-				})
-			}
-			e.submitEC(js)
-		},
-	}
-	js.uploadItem = it
-	e.upQ.Enqueue(it)
-}
-
-func (e *Engine) submitEC(js *jobState) {
-	if e.ec.Size() == 0 {
-		// The upload landed on a fully revoked EC (everything died while the
-		// transfer was in flight); nothing can ever run it there.
-		e.fallBack(js, e.eng.Now())
-		return
-	}
-	if e.cfg.MapWays > 1 {
-		start := e.eng.Now()
-		cluster.MapReduceJob(e.ec, js.j, js.j.TrueProcTime, e.cfg.MapWays, e.cfg.MergeFraction,
-			func(at float64) {
-				e.observeProc(js.j, at-start, e.cfg.ECSpeed*float64(e.cfg.MapWays))
-				e.submitDownload(js, at)
-			})
-		return
-	}
-	e.ec.Submit(&cluster.Task{
-		Job:        js.j,
-		StdSeconds: js.j.TrueProcTime,
-		OnDone: func(at float64, t *cluster.Task, m *cluster.Machine) {
-			e.observeProc(js.j, at-t.StartedAt, m.Speed)
-			e.submitDownload(js, at)
-		},
-	})
-}
-
-func (e *Engine) submitDownload(js *jobState, at float64) {
-	js.downloading = true
-	js.computeDone = at
-	if e.wants(trace.DownloadStart) {
-		e.tracer.Emit(trace.Event{
-			Type: trace.DownloadStart, T: at,
-			JobID: js.j.ID, Seq: js.seq, Link: "download", Bytes: js.j.OutputSize,
-		})
-	}
-	e.downQ.Enqueue(&netsim.QueueItem{
-		Bytes: js.j.OutputSize,
-		Meta:  js,
-		OnDone: func(doneAt float64, it *netsim.QueueItem, bw float64) {
-			e.downloadedBytes += it.Bytes
-			if e.wants(trace.DownloadEnd) {
-				e.tracer.Emit(trace.Event{
-					Type: trace.DownloadEnd, T: doneAt,
-					JobID: js.j.ID, Seq: js.seq, Link: "download", Bytes: it.Bytes, BW: bw,
-				})
-			}
-			e.complete(js, doneAt, sla.EC)
-			if e.cfg.OnECJob != nil {
-				e.cfg.OnECJob(ECTrace{
-					JobID:       js.j.ID,
-					Seq:         js.seq,
-					InputSize:   js.j.InputSize,
-					OutputSize:  js.j.OutputSize,
-					ScheduledAt: js.scheduledAt,
-					UploadDone:  js.uploadDone,
-					ComputeDone: js.computeDone,
-					Completed:   doneAt,
-				})
-			}
-		},
-	})
-}
-
 // observeProc feeds the QRSM with the measured processing time normalized
-// to a standard machine. For map-parallel execution the wall time is scaled
-// by the effective parallel speed, approximating the per-job signal the
-// prototype logs.
+// to a standard machine.
 func (e *Engine) observeProc(j *job.Job, wallSeconds, speed float64) {
 	if wallSeconds <= 0 || speed <= 0 {
 		return
@@ -598,6 +372,7 @@ func (e *Engine) complete(js *jobState, at float64, where sla.Where) {
 // path tallied batch by batch as the source fed.
 func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 	end := e.records.End()
+	primary := e.sites[0]
 	r := &Result{
 		Scheduler:             e.sched.Name(),
 		Records:               e.records,
@@ -612,9 +387,9 @@ func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 		ChunksCreated:         e.chunks,
 		UploadedBytes:         e.uploadedBytes,
 		DownloadedBytes:       e.downloadedBytes,
-		FinalThreads:          e.upTuner.Threads(),
+		FinalThreads:          primary.upTuner.Threads(),
 		QRSMR2:                e.estimator.GlobalModel().SettledR2(),
-		PredictorObservations: e.upPred.Observations(),
+		PredictorObservations: primary.upPred.Observations(),
 		ECRevocations:         e.ec.Revoked(),
 		TransferStalls:        e.stalls,
 		TransferAborts:        e.aborts,
@@ -628,10 +403,10 @@ func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 	if e.icFaults != nil {
 		r.ICCrashes = e.icFaults.Failures()
 	}
-	if e.prober != nil {
-		r.ProbeCount = e.prober.Count()
+	if primary.prober != nil {
+		r.ProbeCount = primary.prober.Count()
 	}
-	for _, site := range e.sites {
+	for _, site := range e.sites[1:] {
 		r.SiteBursts = append(r.SiteBursts, site.bursts)
 		r.SiteUtils = append(r.SiteUtils, site.cluster.UtilizationAt(end))
 	}

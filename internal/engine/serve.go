@@ -324,9 +324,6 @@ func (s *server) drive(ctx context.Context) (suspended bool, err error) {
 			return false, fmt.Errorf("%w: %d/%d jobs done at t=%.0fs", ErrTimeout, e.completed, e.total, eng.Now())
 		}
 	}
-	if e.prober != nil {
-		e.prober.Stop()
-	}
 	return suspended, nil
 }
 

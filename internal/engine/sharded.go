@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cloudburst/internal/job"
-	"cloudburst/internal/sched"
 	"cloudburst/internal/shard"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
@@ -15,8 +14,6 @@ import (
 // detection off), so every job is always placed.
 func (e *Engine) onBatchSharded(b workload.Batch) {
 	pending := b.Jobs
-	var firstState *sched.State
-	committed, bursted := 0, 0
 	for attempt := 1; len(pending) > 0; attempt++ {
 		e.epoch++
 		// The snapshot must be safe for concurrent reads: materialize the
@@ -28,9 +25,6 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 		st := e.state()
 		st.EstimateJob = nil
 		st.EstimateProc = e.estimator.EstimateConcurrent
-		if firstState == nil {
-			firstState = st
-		}
 		nShards := e.coord.Count()
 		detect := true
 		if attempt > e.coord.MaxRetries()+1 {
@@ -86,10 +80,6 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 		for _, o := range outcomes {
 			if o.Won {
 				e.processDecision(o.D, b.Index, o.Shard+1, e.epoch, o.Machine, attempt)
-				committed++
-				if o.D.Place == sched.PlaceEC {
-					bursted++
-				}
 				continue
 			}
 			e.conflicts++
@@ -112,25 +102,9 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 		// SIBS shards publish refreshed size-interval bounds per round, the
 		// sharded analogue of the per-batch monolithic publish.
 		if sBound, mBound, ok := e.coord.Bounds(); ok {
-			e.upQ.SetBounds(sBound, mBound)
+			e.sites[0].upQ.SetBounds(sBound, mBound)
 		}
 
 		pending = losers
-	}
-
-	if e.cfg.OnBatch != nil && firstState != nil {
-		e.cfg.OnBatch(BatchTrace{
-			Now:             firstState.Now,
-			Batch:           b.Index,
-			Decisions:       committed,
-			Bursted:         bursted,
-			ICBacklogStd:    firstState.ICBacklogStd,
-			UploadBacklog:   firstState.UploadBacklog,
-			ECPendingStd:    firstState.ECPendingStd,
-			DownloadPending: firstState.DownloadPending,
-			PredUpBW:        firstState.PredictUploadBW(firstState.Now),
-			PredDownBW:      firstState.PredictDownloadBW(firstState.Now),
-			Threads:         e.upTuner.Threads(),
-		})
 	}
 }

@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"fmt"
+	"strconv"
 
 	"cloudburst/internal/cluster"
+	"cloudburst/internal/job"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sla"
@@ -27,25 +28,47 @@ type RemoteSiteConfig struct {
 	OnDemandRate float64
 }
 
-// ecSite is the live state of one remote external cloud.
+// ecSite is the live state of one external cloud. Site 0 is the primary EC,
+// site k the k-th RemoteSiteConfig; every burst travels the same pipeline
+// through its site (Fig. 5): upload queue → cluster → download queue →
+// result queue.
 type ecSite struct {
-	cfg      RemoteSiteConfig
-	cluster  *cluster.Cluster
-	uplink   *netsim.Link
-	downlink *netsim.Link
-	upQ      *netsim.Queue
-	downQ    *netsim.Queue
-	upPred   *netsim.Predictor
-	downPred *netsim.Predictor
-	upTuner  *netsim.Tuner
-	dnTuner  *netsim.Tuner
-	prober   *netsim.Prober
-	bursts   int
+	cluster   *cluster.Cluster
+	speed     float64
+	upQ       uploader
+	downQ     *netsim.Queue
+	upPred    *netsim.Predictor
+	downPred  *netsim.Predictor
+	upTuner   *netsim.Tuner
+	downTuner *netsim.Tuner
+	prober    *netsim.Prober
+	bursts    int
+	// upName and downName are the site's transfer queues as the trace
+	// names them: "upload"/"download", with k appended for site k.
+	upName, downName string
+	// pendStd and pendDown hold the sums tallyPending last left.
+	pendStd, pendDown float64
 }
 
-// buildSites constructs the remote external clouds.
-func (e *Engine) buildSites(netRNG *stats.RNG) {
-	for i, rc := range e.cfg.RemoteSites {
+// buildSites builds site 0 from Config's EC and network fields and then
+// one site per RemoteSiteConfig. The order fixes the link RNG streams —
+// site 0 draws the two arena streams, every other site forks the network
+// root for its uplink and then its downlink — and the order in which the
+// sites' tickers enter the event queue.
+func (e *Engine) buildSites() {
+	cfg := e.cfg
+	netRNG, upRNG, downRNG := e.netStreams()
+	netRNG.Reset(cfg.NetSeed + 1)
+	netRNG.ForkInto(upRNG)
+	netRNG.ForkInto(downRNG)
+	e.sites = make([]*ecSite, 0, 1+len(cfg.RemoteSites))
+	primary := RemoteSiteConfig{
+		Machines: cfg.ECMachines, Speed: cfg.ECSpeed,
+		UploadProfile: cfg.UploadProfile, DownloadProfile: cfg.DownloadProfile,
+		JitterCV: cfg.JitterCV,
+	}
+	e.sites = append(e.sites, e.buildSite(primary, upRNG, downRNG))
+	for _, rc := range cfg.RemoteSites {
 		if rc.Machines == 0 {
 			rc.Machines = 2
 		}
@@ -59,102 +82,167 @@ func (e *Engine) buildSites(netRNG *stats.RNG) {
 			rc.DownloadProfile = netsim.DiurnalProfile(900*1024, 0.3)
 		}
 		if rc.JitterCV == 0 {
-			rc.JitterCV = e.cfg.JitterCV
+			rc.JitterCV = cfg.JitterCV
 		}
-		s := &ecSite{cfg: rc}
-		s.cluster = cluster.Uniform(e.eng, fmt.Sprintf("ec%d", i+1), rc.Machines, rc.Speed)
-		e.attachClusterTrace(s.cluster)
-		s.uplink = netsim.NewLink(e.eng, netsim.LinkConfig{
-			Name:           fmt.Sprintf("uplink%d", i+1),
-			Profile:        rc.UploadProfile,
-			JitterCV:       rc.JitterCV,
-			ResamplePeriod: e.cfg.ResamplePeriod,
-			Threads:        e.cfg.ThreadModel,
-			Outages:        e.cfg.Outages,
-			OnOutage:       e.outageTrace(fmt.Sprintf("uplink%d", i+1)),
-		}, netRNG.Fork())
-		s.downlink = netsim.NewLink(e.eng, netsim.LinkConfig{
-			Name:           fmt.Sprintf("downlink%d", i+1),
-			Profile:        rc.DownloadProfile,
-			JitterCV:       rc.JitterCV,
-			ResamplePeriod: e.cfg.ResamplePeriod,
-			Threads:        e.cfg.ThreadModel,
-			Outages:        e.cfg.Outages,
-			OnOutage:       e.outageTrace(fmt.Sprintf("downlink%d", i+1)),
-		}, netRNG.Fork())
-		s.upPred = netsim.NewPredictor(e.cfg.PredictorSlots, e.cfg.PredictorAlpha, e.cfg.PriorBW)
-		s.downPred = netsim.NewPredictor(e.cfg.PredictorSlots, e.cfg.PredictorAlpha, e.cfg.PriorBW)
-		s.upTuner = netsim.NewTuner(e.cfg.ThreadModel, 8)
-		s.dnTuner = netsim.NewTuner(e.cfg.ThreadModel, 8)
-		s.upQ = netsim.NewQueue(e.eng, fmt.Sprintf("upload%d", i+1), s.uplink, s.upTuner, 1)
-		s.upQ.OnMeasure = func(at, bw float64) { s.upPred.Observe(at, bw) }
-		s.downQ = netsim.NewQueue(e.eng, fmt.Sprintf("download%d", i+1), s.downlink, s.dnTuner, 1)
-		s.downQ.OnMeasure = func(at, bw float64) { s.downPred.Observe(at, bw) }
-		if e.cfg.ProbePeriod > 0 {
-			s.prober = netsim.NewProber(e.eng, s.uplink, s.upPred, s.upTuner, netsim.ProberConfig{
-				Period: e.cfg.ProbePeriod,
-				Bytes:  e.cfg.ProbeBytes,
-			})
-			e.attachProbeTrace(s.prober, fmt.Sprintf("uplink%d", i+1))
-		}
-		e.sites = append(e.sites, s)
+		up := netRNG.Fork()
+		down := netRNG.Fork()
+		e.sites = append(e.sites, e.buildSite(rc, up, down))
 	}
 }
 
-// siteStates snapshots the remote sites for the scheduler.
-func (e *Engine) siteStates() []sched.SiteState {
-	if len(e.sites) == 0 {
-		return nil
+// buildSite wires the next site: its cluster, both links, predictors and
+// tuners, its queues and its prober. The primary EC uploads through the
+// SIBS split uploader when the scheduler publishes size-interval bounds;
+// every other site keeps a single queue.
+func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSite {
+	cfg := e.cfg
+	k := len(e.sites)
+	suffix := ""
+	if k > 0 {
+		suffix = strconv.Itoa(k)
 	}
-	// Per-site pending compute and pending download bytes.
-	pendStd := make([]float64, len(e.sites))
-	pendDown := make([]float64, len(e.sites))
+	uplinkName, downlinkName := "uplink"+suffix, "downlink"+suffix
+	s := &ecSite{
+		cluster:   cluster.Uniform(e.eng, "ec"+suffix, rc.Machines, rc.Speed),
+		speed:     rc.Speed,
+		upPred:    netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
+		downPred:  netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
+		upTuner:   netsim.NewTuner(cfg.ThreadModel, 8),
+		downTuner: netsim.NewTuner(cfg.ThreadModel, 8),
+		upName:    "upload" + suffix,
+		downName:  "download" + suffix,
+	}
+	e.attachClusterTrace(s.cluster)
+	uplink := netsim.NewLink(e.eng, netsim.LinkConfig{
+		Name:           uplinkName,
+		Profile:        rc.UploadProfile,
+		JitterCV:       rc.JitterCV,
+		ResamplePeriod: cfg.ResamplePeriod,
+		Threads:        cfg.ThreadModel,
+		Outages:        cfg.Outages,
+		OnOutage:       e.outageTrace(uplinkName),
+	}, upRNG)
+	downlink := netsim.NewLink(e.eng, netsim.LinkConfig{
+		Name:           downlinkName,
+		Profile:        rc.DownloadProfile,
+		JitterCV:       rc.JitterCV,
+		ResamplePeriod: cfg.ResamplePeriod,
+		Threads:        cfg.ThreadModel,
+		Outages:        cfg.Outages,
+		OnOutage:       e.outageTrace(downlinkName),
+	}, downRNG)
+
+	upMeasure := func(at, pathBW float64) { s.upPred.Observe(at, pathBW) }
+	if _, isSIBS := e.sched.(sched.BoundsPublisher); isSIBS && k == 0 {
+		su := netsim.NewSplitUploader(e.eng, uplink, s.upTuner, job.Bytes(50), job.Bytes(150))
+		su.Small.OnMeasure = upMeasure
+		su.Medium.OnMeasure = upMeasure
+		su.Large.OnMeasure = upMeasure
+		s.upQ = sibsUploader{su}
+	} else {
+		q := netsim.NewQueue(e.eng, s.upName, uplink, s.upTuner, 1)
+		q.OnMeasure = upMeasure
+		s.upQ = singleUploader{q}
+	}
+	s.downQ = netsim.NewQueue(e.eng, s.downName, downlink, s.downTuner, 1)
+	s.downQ.OnMeasure = func(at, pathBW float64) { s.downPred.Observe(at, pathBW) }
+
+	if cfg.ProbePeriod > 0 {
+		s.prober = netsim.NewProber(e.eng, uplink, s.upPred, s.upTuner, netsim.ProberConfig{
+			Period: cfg.ProbePeriod,
+			Bytes:  cfg.ProbeBytes,
+		})
+		e.attachProbeTrace(s.prober, uplinkName)
+	}
+	return s
+}
+
+// tallyPending walks the job table once, in ascending job ID, and leaves
+// each site's pending work in pendStd and pendDown: the estimated compute
+// of jobs still uploading toward it (dispatched, but invisible to its
+// cluster backlog) and the output bytes that will reach its downlink but
+// are not queued there yet.
+func (e *Engine) tallyPending() {
+	for _, s := range e.sites {
+		s.pendStd, s.pendDown = 0, 0
+	}
 	for _, js := range e.states {
-		if js == nil || js.place != sched.PlaceEC || js.done || js.site == 0 {
+		if js == nil || js.place != sched.PlaceEC || js.done {
 			continue
 		}
-		idx := js.site - 1
+		s := e.sites[js.site]
 		if js.uploadItem != nil {
-			pendStd[idx] += e.estimateJob(js.j)
+			s.pendStd += e.estimateJob(js.j)
 		}
 		if !js.downloading {
-			pendDown[idx] += float64(js.j.OutputSize)
+			s.pendDown += float64(js.j.OutputSize)
 		}
 	}
-	out := make([]sched.SiteState, len(e.sites))
-	for i, s := range e.sites {
-		s := s
-		limitUp := e.cfg.ThreadModel.Limit(s.upTuner.Threads())
-		limitDn := e.cfg.ThreadModel.Limit(s.dnTuner.Threads())
-		out[i] = sched.SiteState{
-			BacklogStd:      s.cluster.BacklogStdSeconds(),
-			PendingStd:      pendStd[i],
-			Machines:        s.cluster.Size(),
-			Speed:           s.cfg.Speed,
-			UploadBacklog:   s.upQ.Backlog(),
-			DownloadBacklog: s.downQ.Backlog(),
-			DownloadPending: pendDown[i],
-			PredictUploadBW: func(t float64) float64 {
-				return min(s.upPred.Predict(t), limitUp)
-			},
-			PredictDownloadBW: func(t float64) float64 {
-				return min(s.downPred.Predict(t), limitDn)
-			},
-		}
-	}
-	return out
 }
 
-// submitUploadSite starts the EC path via remote site k (1-based decision
-// site minus one).
-func (e *Engine) submitUploadSite(js *jobState, s *ecSite) {
-	js.scheduledAt = e.eng.Now()
-	s.bursts++
-	link := fmt.Sprintf("upload%d", js.site)
+// siteState snapshots one site for the scheduler from the sums the last
+// tallyPending left. It also returns the site's per-queue upload backlogs
+// (small, medium, large; a single queue reports everything as large) and
+// its effective upload parallelism, which sched.State carries for the
+// primary EC only. The parallelism is the interval count given the current
+// bounds, discounted by how the queued bytes actually spread across the
+// queues — when everything single-files through one interval the path
+// behaves like one thread-limited channel no matter how many intervals
+// exist. A single queue's parallelism is 1.
+//
+// Predicted transfer bandwidth is the learned path capacity capped by what
+// the uploader can actually drive: each queue moves one transfer at a time
+// at the tuned thread count's limit, so a single queue cannot exceed
+// Limit(threads) even on a fatter pipe, while the three SIBS queues can
+// reach up to three times that. This is the mechanism behind the paper's
+// claim that size-interval splitting "improves the utilization of the
+// upload bandwidth by using parallel threads".
+func (e *Engine) siteState(s *ecSite) (sched.SiteState, [3]float64, float64) {
+	sm, md, lg := s.upQ.QueueBacklogs()
+	upQueues := float64(s.upQ.Channels())
+	if tot := sm + md + lg; tot > 0 {
+		if spread := tot / max(sm, md, lg); spread < upQueues {
+			upQueues = spread
+		}
+	}
+	upQueues = max(upQueues, 1)
+	upLimit := e.cfg.ThreadModel.Limit(s.upTuner.Threads())
+	downLimit := e.cfg.ThreadModel.Limit(s.downTuner.Threads())
+	return sched.SiteState{
+		BacklogStd:      s.cluster.BacklogStdSeconds(),
+		PendingStd:      s.pendStd,
+		Machines:        s.cluster.ActiveSize(),
+		Speed:           s.speed,
+		UploadBacklog:   s.upQ.Backlog(),
+		DownloadBacklog: s.downQ.Backlog(),
+		DownloadPending: s.pendDown,
+		PredictUploadBW: func(t float64) float64 {
+			return capBW(s.upPred.Predict(t), upLimit, upQueues)
+		},
+		PredictDownloadBW: func(t float64) float64 {
+			return capBW(s.downPred.Predict(t), downLimit, 1)
+		},
+	}, [3]float64{sm, md, lg}, upQueues
+}
+
+// capBW caps a predicted bandwidth at what queues thread-limited channels
+// can drive.
+func capBW(pred, limit, queues float64) float64 {
+	if lim := limit * queues; pred > lim {
+		return lim
+	}
+	return pred
+}
+
+// submitUpload starts the EC path through the job's site: upload, remote
+// compute, download. The transfer callbacks look the site up by js.site
+// instead of capturing it, one captured word less per queued transfer.
+func (e *Engine) submitUpload(js *jobState) {
+	s := e.sites[js.site]
 	if e.wants(trace.UploadStart) {
 		e.tracer.Emit(trace.Event{
-			Type: trace.UploadStart, T: js.scheduledAt,
-			JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: link, Bytes: js.j.InputSize,
+			Type: trace.UploadStart, T: e.eng.Now(),
+			JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: s.upName, Bytes: js.j.InputSize,
 		})
 	}
 	it := &netsim.QueueItem{
@@ -162,40 +250,46 @@ func (e *Engine) submitUploadSite(js *jobState, s *ecSite) {
 		Meta:  js,
 		OnDone: func(at float64, it *netsim.QueueItem, bw float64) {
 			js.uploadItem = nil
-			js.uploadDone = at
 			e.uploadedBytes += it.Bytes
 			if e.wants(trace.UploadEnd) {
 				e.tracer.Emit(trace.Event{
 					Type: trace.UploadEnd, T: at,
-					JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: link, Bytes: it.Bytes, BW: bw,
+					JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: e.sites[js.site].upName,
+					Bytes: it.Bytes, BW: bw,
 				})
 			}
-			e.submitECSite(js, s)
+			e.submitEC(js)
 		},
 	}
 	js.uploadItem = it
 	s.upQ.Enqueue(it)
 }
 
-func (e *Engine) submitECSite(js *jobState, s *ecSite) {
-	s.cluster.Submit(&cluster.Task{
+func (e *Engine) submitEC(js *jobState) {
+	c := e.sites[js.site].cluster
+	if c.Size() == 0 {
+		// The upload landed on a fully revoked EC (everything died while the
+		// transfer was in flight); nothing can ever run it there.
+		e.fallBack(js, e.eng.Now())
+		return
+	}
+	c.Submit(&cluster.Task{
 		Job:        js.j,
 		StdSeconds: js.j.TrueProcTime,
 		OnDone: func(at float64, t *cluster.Task, m *cluster.Machine) {
 			e.observeProc(js.j, at-t.StartedAt, m.Speed)
-			e.submitDownloadSite(js, s, at)
+			e.submitDownload(js, at)
 		},
 	})
 }
 
-func (e *Engine) submitDownloadSite(js *jobState, s *ecSite, at float64) {
+func (e *Engine) submitDownload(js *jobState, at float64) {
+	s := e.sites[js.site]
 	js.downloading = true
-	js.computeDone = at
-	link := fmt.Sprintf("download%d", js.site)
 	if e.wants(trace.DownloadStart) {
 		e.tracer.Emit(trace.Event{
 			Type: trace.DownloadStart, T: at,
-			JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: link, Bytes: js.j.OutputSize,
+			JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: s.downName, Bytes: js.j.OutputSize,
 		})
 	}
 	s.downQ.Enqueue(&netsim.QueueItem{
@@ -206,7 +300,8 @@ func (e *Engine) submitDownloadSite(js *jobState, s *ecSite, at float64) {
 			if e.wants(trace.DownloadEnd) {
 				e.tracer.Emit(trace.Event{
 					Type: trace.DownloadEnd, T: doneAt,
-					JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: link, Bytes: it.Bytes, BW: bw,
+					JobID: js.j.ID, Seq: js.seq, Site: js.site, Link: e.sites[js.site].downName,
+					Bytes: it.Bytes, BW: bw,
 				})
 			}
 			e.complete(js, doneAt, sla.EC)

@@ -14,7 +14,7 @@ import (
 // performance contract).
 
 // attachClusterTrace emits ComputeStart/ComputeEnd for every task the
-// cluster runs — including map-reduce subtasks the engine never sees.
+// cluster runs.
 func (e *Engine) attachClusterTrace(c *cluster.Cluster) {
 	name := c.Name
 	if e.wants(trace.ComputeStart) {

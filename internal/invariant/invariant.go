@@ -9,6 +9,9 @@
 //   - bytes are conserved: every upload moves exactly the job's input,
 //     every download exactly its output, delivery reports the same output,
 //     and a chunked parent's children sum back to the parent's sizes;
+//   - uploads pair: each UploadStart is closed once, by its UploadEnd, by a
+//     TransferAborted, or by a steal-back (Rescheduled EC→IC) that withdrew
+//     the upload before any byte moved;
 //   - no transfer's achieved bandwidth exceeds the thread-model ceiling
 //     advertised by RunConfigured;
 //   - the slack admission rule holds at every gated placement and at every
@@ -148,7 +151,7 @@ func (c *Checker) InterestMask() trace.Mask {
 		trace.TransferAborted, trace.UploadEnd, trace.DownloadEnd,
 		trace.ComputeStart, trace.ComputeEnd, trace.JobDelivered,
 		trace.RentalStarted, trace.RentalEnded, trace.CostAccrued,
-		trace.PlacementConflict, trace.PlacementRetried,
+		trace.PlacementConflict, trace.PlacementRetried, trace.Rescheduled,
 	)
 }
 
@@ -232,6 +235,17 @@ func (c *Checker) Emit(ev trace.Event) {
 		// the end-of-run check only flags transfers that truly leaked.
 		if ji := c.job(ev.JobID); strings.HasPrefix(ev.Link, "upload") && ji.uploadsOpen > 0 {
 			ji.uploadsOpen--
+		}
+
+	case trace.Rescheduled:
+		// A steal-back (EC→IC) withdraws an upload still waiting in its
+		// queue: it never reaches UploadEnd, so the move closes it.
+		if ev.From == "EC" && ev.To == "IC" {
+			if ji := c.job(ev.JobID); ji.uploadsOpen > 0 {
+				ji.uploadsOpen--
+			} else {
+				c.fail("transfer-pairing", ev.T, ev.JobID, "steal-back with no upload open")
+			}
 		}
 
 	case trace.UploadEnd:

@@ -104,6 +104,39 @@ func TestCatchesDeliveredOutputMismatch(t *testing.T) {
 	one(t, feed(evs...), "bytes-conserved")
 }
 
+// stolenBack is a job placed on the EC whose upload a steal-back withdrew
+// before any byte moved; it then runs and is delivered on the IC.
+func stolenBack() []trace.Event {
+	evs := cleanJob()[:4] // configured, arrived, placed EC, UploadStart
+	return append(evs,
+		trace.Event{Type: trace.Rescheduled, T: 30, JobID: 1, Seq: 0, From: "EC", To: "IC"},
+		trace.Event{Type: trace.ComputeStart, T: 30, JobID: 1, Cluster: "ic", Machine: 0},
+		trace.Event{Type: trace.ComputeEnd, T: 40, JobID: 1, Cluster: "ic", Machine: 0},
+		trace.Event{Type: trace.JobDelivered, T: 40, JobID: 1, Seq: 0, Where: "IC", OutputBytes: 200},
+	)
+}
+
+func TestStealBackClosesUpload(t *testing.T) {
+	if vs := feed(stolenBack()...); len(vs) != 0 {
+		t.Fatalf("steal-back stream reported violations: %v", vs)
+	}
+}
+
+func TestCatchesStealBackWithoutUpload(t *testing.T) {
+	evs := stolenBack()
+	evs = append(evs[:3], evs[4:]...) // drop the UploadStart
+	one(t, feed(evs...), "transfer-pairing")
+}
+
+func TestCatchesUnclosedUpload(t *testing.T) {
+	evs := stolenBack()
+	evs[4].From, evs[4].To = "IC", "EC" // an idle pull closes no upload
+	v := one(t, feed(evs...), "transfer-pairing")
+	if v.Detail != "1 uploads never finished" {
+		t.Fatalf("wrong pairing violation: %v", v)
+	}
+}
+
 func TestCatchesBWOverCeiling(t *testing.T) {
 	evs := cleanJob()
 	evs[4].BW = 1500 // ceiling is 1000
