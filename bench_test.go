@@ -193,14 +193,14 @@ func BenchmarkSimEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		count := 0
-		var tick func()
-		tick = func() {
+		var tick sim.Callback
+		tick = func(float64, any) {
 			count++
 			if count < 10000 {
-				eng.ScheduleAfter(1, tick)
+				eng.CallAfter(1, tick, nil)
 			}
 		}
-		eng.ScheduleAfter(1, tick)
+		eng.CallAfter(1, tick, nil)
 		eng.Run()
 	}
 }

@@ -444,33 +444,24 @@ func (o Options) scheduler() (sched.Scheduler, error) {
 	}
 }
 
+// engineConfig translates normalized options into the engine's
+// configuration.
 func (o Options) engineConfig() engine.Config {
-	cfg := engine.Config{
-		ICMachines:   o.ICMachines,
-		ECMachines:   o.ECMachines,
-		JitterCV:     o.JitterCV,
-		NetSeed:      o.NetSeed,
-		Rescheduling: o.Rescheduling,
-		SchedConfig:  sched.Config{SlackMargin: o.SlackMarginSec},
-	}
 	amp := o.DiurnalAmplitude
-	if amp == 0 {
-		amp = 0.3
-	}
-	if o.UploadMeanBW > 0 {
-		cfg.UploadProfile = netsim.DiurnalProfile(o.UploadMeanBW, amp)
-	}
-	if o.DownloadMeanBW > 0 {
-		cfg.DownloadProfile = netsim.DiurnalProfile(o.DownloadMeanBW, amp)
+	cfg := engine.Config{
+		ICMachines:      o.ICMachines,
+		ECMachines:      o.ECMachines,
+		JitterCV:        o.JitterCV,
+		NetSeed:         o.NetSeed,
+		Rescheduling:    o.Rescheduling,
+		SchedConfig:     sched.Config{SlackMargin: o.SlackMarginSec},
+		UploadProfile:   netsim.DiurnalProfile(o.UploadMeanBW, amp),
+		DownloadProfile: netsim.DiurnalProfile(o.DownloadMeanBW, amp),
 	}
 	if o.OutageMTBF > 0 {
-		dur := o.OutageMeanDuration
-		if dur == 0 {
-			dur = 60
-		}
 		cfg.Outages = &netsim.OutageModel{
 			MeanTimeBetween: o.OutageMTBF,
-			MeanDuration:    dur,
+			MeanDuration:    o.OutageMeanDuration,
 			ThrottleFactor:  o.OutageThrottle,
 		}
 	}
@@ -489,9 +480,6 @@ func (o Options) engineConfig() engine.Config {
 		cfg.RemoteSites = append(cfg.RemoteSites, rc)
 	}
 	if o.AutoscaleECMax > 0 {
-		if cfg.ECMachines == 0 {
-			cfg.ECMachines = 1
-		}
 		cfg.Autoscale = &engine.AutoscaleConfig{
 			Min:        1,
 			Max:        o.AutoscaleECMax,

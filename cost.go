@@ -71,10 +71,10 @@ func (c CostOptions) validate() error {
 	return nil
 }
 
-// engineConfig translates the public cost options into the engine's pricing
-// configuration. spot reports whether the primary EC fleet is revocable.
+// engineConfig translates the normalized cost options into the engine's
+// pricing configuration. spot reports whether the primary EC fleet is
+// revocable.
 func (c CostOptions) engineConfig(spot bool) *cost.Config {
-	c = c.normalize()
 	return &cost.Config{
 		OnDemandRate:    c.OnDemandRate,
 		SpotRate:        c.SpotRate,

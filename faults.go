@@ -102,10 +102,9 @@ func (f FaultOptions) validate() error {
 	return nil
 }
 
-// engineConfig translates the public fault options into the engine's
+// engineConfig translates the normalized fault options into the engine's
 // grouped fault configuration.
 func (f FaultOptions) engineConfig() *engine.FaultConfig {
-	f = f.normalize()
 	fc := &engine.FaultConfig{
 		MaxRetries:   f.MaxRetries,
 		RetryBackoff: f.RetryBackoff,

@@ -10,8 +10,6 @@
 package advisor
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -33,37 +31,23 @@ type Entry struct {
 // ErrEmpty reports a manifest with no usable entries.
 var ErrEmpty = errors.New("advisor: manifest holds no usable entries")
 
-// manifestEntry mirrors the sweep manifest's JSONL row.
-type manifestEntry struct {
-	FP      string        `json:"fp"`
-	Metrics sweep.Metrics `json:"metrics"`
-}
-
-// ReadManifest loads the job-history store at path. Malformed lines are
-// skipped — the manifest format itself tolerates a torn tail — but a
-// history without a single usable entry is an error (ErrEmpty), as is an
-// unreadable file.
+// ReadManifest loads the job-history store at path through the sweep's own
+// manifest reader, so malformed lines are skipped as a torn tail is, and
+// so are fingerprints without a sched= token. A history without a single
+// usable entry is an error (ErrEmpty), as is an unreadable file.
 func ReadManifest(path string) ([]Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("advisor: open manifest: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out []Entry
-	for sc.Scan() {
-		var m manifestEntry
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil || m.FP == "" {
-			continue
+	err = sweep.ReadManifest(f, func(m sweep.ManifestEntry) {
+		if sched, scenario, ok := splitFP(m.FP); ok {
+			out = append(out, Entry{FP: m.FP, Sched: sched, Scenario: scenario, Metrics: m.Metrics})
 		}
-		sched, scenario, ok := splitFP(m.FP)
-		if !ok {
-			continue
-		}
-		out = append(out, Entry{FP: m.FP, Sched: sched, Scenario: scenario, Metrics: m.Metrics})
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("advisor: read manifest: %w", err)
 	}
 	if len(out) == 0 {

@@ -13,7 +13,7 @@ func TestAddMachineDispatchesQueuedWork(t *testing.T) {
 	var doneAt [2]float64
 	c.Submit(&Task{StdSeconds: 10, OnDone: func(at float64, tk *Task, m *Machine) { doneAt[0] = at }})
 	c.Submit(&Task{StdSeconds: 10, OnDone: func(at float64, tk *Task, m *Machine) { doneAt[1] = at }})
-	eng.Schedule(2, func() { c.AddMachine(1.0) })
+	eng.ScheduleCall(2, func(float64, any) { c.AddMachine(1.0) }, nil)
 	eng.Run()
 	// Second task starts at t=2 on the new machine instead of t=10.
 	if math.Abs(doneAt[1]-12) > 1e-9 {
@@ -56,12 +56,12 @@ func TestDrainBusyMachineFinishesItsTask(t *testing.T) {
 	var doneAt float64
 	c.Submit(&Task{StdSeconds: 10, OnDone: func(at float64, tk *Task, m *Machine) { doneAt = at }})
 	m := c.Machines()[0]
-	eng.Schedule(3, func() {
+	eng.ScheduleCall(3, func(float64, any) {
 		c.Drain(m)
 		if c.Size() != 1 {
 			t.Error("busy machine retired before finishing")
 		}
-	})
+	}, nil)
 	eng.Run()
 	if doneAt != 10 {
 		t.Fatalf("task done at %v, want 10", doneAt)
@@ -84,8 +84,8 @@ func TestDrainingMachineTakesNoNewWork(t *testing.T) {
 	c.Submit(mk())
 	// Drain machine 1 mid-task; submit another task at t=6 — it must run
 	// on machine 0 only.
-	eng.Schedule(1, func() { c.Drain(c.Machines()[1]) })
-	eng.Schedule(6, func() { c.Submit(mk()) })
+	eng.ScheduleCall(1, func(float64, any) { c.Drain(c.Machines()[1]) }, nil)
+	eng.ScheduleCall(6, func(float64, any) { c.Submit(mk()) }, nil)
 	eng.Run()
 	if len(where) != 3 {
 		t.Fatalf("completed %d tasks", len(where))
@@ -120,9 +120,9 @@ func TestMachineSecondsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	c := Uniform(eng, "ec", 1, 1.0) // machine 0 from t=0
 	var added *Machine
-	eng.Schedule(10, func() { added = c.AddMachine(1.0) })
-	eng.Schedule(30, func() { c.Drain(added) }) // idle: retires at 30
-	eng.Schedule(50, func() {})
+	eng.ScheduleCall(10, func(float64, any) { added = c.AddMachine(1.0) }, nil)
+	eng.ScheduleCall(30, func(float64, any) { c.Drain(added) }, nil) // idle: retires at 30
+	eng.ScheduleCall(50, func(float64, any) {}, nil)
 	eng.Run()
 	// machine 0: [0,50] = 50; added: [10,30] = 20.
 	if got := c.MachineSeconds(50); math.Abs(got-70) > 1e-9 {
@@ -139,10 +139,10 @@ func TestUtilizationRented(t *testing.T) {
 	c := Uniform(eng, "ec", 1, 1.0)
 	c.Submit(&Task{StdSeconds: 20})
 	var m2 *Machine
-	eng.Schedule(0, func() { m2 = c.AddMachine(1.0) })
+	eng.ScheduleCall(0, func(float64, any) { m2 = c.AddMachine(1.0) }, nil)
 	c.Submit(&Task{StdSeconds: 10})
-	eng.Schedule(25, func() { c.Drain(m2) })
-	eng.Schedule(40, func() {})
+	eng.ScheduleCall(25, func(float64, any) { c.Drain(m2) }, nil)
+	eng.ScheduleCall(40, func(float64, any) {}, nil)
 	eng.Run()
 	// Busy: m0 20s + m2 10s = 30. Rented: m0 [0,40]=40, m2 [0,25]=25 → 65.
 	got := c.UtilizationRented(40)
@@ -177,8 +177,8 @@ func TestRetiredMachineBusyTimeCounted(t *testing.T) {
 	c := Uniform(eng, "ec", 1, 1.0)
 	c.Submit(&Task{StdSeconds: 10})
 	m := c.Machines()[0]
-	eng.Schedule(5, func() { c.Drain(m) }) // retires at t=10 when task ends
-	eng.Schedule(20, func() {})
+	eng.ScheduleCall(5, func(float64, any) { c.Drain(m) }, nil) // retires at t=10 when task ends
+	eng.ScheduleCall(20, func(float64, any) {}, nil)
 	eng.Run()
 	// Rented [0,10]=10, busy 10 → rented utilization 1 up to t=10 and
 	// 10/10 even at t=20 (no rental after retirement).

@@ -106,24 +106,18 @@ type OpenRental struct {
 // synchronously from the single-threaded simulation loop and needs no
 // locking.
 type Meter struct {
-	cfg     Config
-	ecSpeed float64
+	cfg Config
 
 	open        map[rentalKey]OpenRental
 	rentalTotal float64
 	committed   float64
 }
 
-// NewMeter builds a meter; ecSpeed converts standardized processing
-// seconds into projected EC occupancy for burst charges.
-func NewMeter(cfg Config, ecSpeed float64) *Meter {
-	if ecSpeed <= 0 {
-		ecSpeed = 1
-	}
+// NewMeter builds a meter.
+func NewMeter(cfg Config) *Meter {
 	return &Meter{
-		cfg:     cfg.WithDefaults(),
-		ecSpeed: ecSpeed,
-		open:    make(map[rentalKey]OpenRental),
+		cfg:  cfg.WithDefaults(),
+		open: make(map[rentalKey]OpenRental),
 	}
 }
 
@@ -192,10 +186,11 @@ func (m *Meter) AccruedAt(t float64) float64 {
 }
 
 // Charge quotes the committed cost of bursting a job with the given
-// standardized processing estimate: its projected EC occupancy rounded up
-// to billing intervals at the effective rate. Quoting does not commit.
+// standardized processing estimate: its projected EC occupancy on a
+// standard-speed machine, rounded up to billing intervals at the effective
+// rate. Quoting does not commit.
 func (m *Meter) Charge(estStd float64) float64 {
-	return BillSpan(0, estStd/m.ecSpeed, m.cfg.BillingInterval, m.cfg.Rate())
+	return BillSpan(0, estStd, m.cfg.BillingInterval, m.cfg.Rate())
 }
 
 // Commit accrues one admitted burst's charge and returns the new

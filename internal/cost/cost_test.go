@@ -48,7 +48,7 @@ func TestConfigRate(t *testing.T) {
 }
 
 func TestMeterRentalLifecycle(t *testing.T) {
-	m := NewMeter(Config{OnDemandRate: 0.10}, 1)
+	m := NewMeter(Config{OnDemandRate: 0.10})
 	if m.BillingInterval() != DefaultBillingInterval {
 		t.Fatalf("billing interval = %g", m.BillingInterval())
 	}
@@ -83,7 +83,7 @@ func TestMeterRentalLifecycle(t *testing.T) {
 }
 
 func TestMeterOpenOrderDeterministic(t *testing.T) {
-	m := NewMeter(Config{OnDemandRate: 0.10}, 1)
+	m := NewMeter(Config{OnDemandRate: 0.10})
 	m.Start("ec2", 1, 0, 0.10)
 	m.Start("ec", 3, 0, 0.10)
 	m.Start("ec", 1, 0, 0.10)
@@ -97,9 +97,9 @@ func TestMeterOpenOrderDeterministic(t *testing.T) {
 }
 
 func TestMeterChargeAndBudget(t *testing.T) {
-	// ecSpeed 2: a 7200-std-second job occupies EC for 3600s = one interval.
-	m := NewMeter(Config{OnDemandRate: 0.10, Budget: 0.25}, 2)
-	if got := m.Charge(7200); math.Abs(got-0.10) > 1e-12 {
+	// A 3600-std-second job occupies a standard EC machine for one interval.
+	m := NewMeter(Config{OnDemandRate: 0.10, Budget: 0.25})
+	if got := m.Charge(3600); math.Abs(got-0.10) > 1e-12 {
 		t.Fatalf("Charge = %g", got)
 	}
 	if got := m.Remaining(); got != 0.25 {
@@ -116,16 +116,8 @@ func TestMeterChargeAndBudget(t *testing.T) {
 		t.Fatalf("Committed = %g", m.Committed())
 	}
 
-	unlimited := NewMeter(Config{OnDemandRate: 0.10}, 1)
+	unlimited := NewMeter(Config{OnDemandRate: 0.10})
 	if !math.IsInf(unlimited.Remaining(), 1) {
 		t.Fatalf("unlimited Remaining = %g", unlimited.Remaining())
-	}
-}
-
-func TestNewMeterGuardsECSpeed(t *testing.T) {
-	m := NewMeter(Config{OnDemandRate: 0.10}, 0)
-	// With the speed guard, a 100s-std job projects 100s of occupancy.
-	if got := m.Charge(100); math.Abs(got-0.10) > 1e-12 {
-		t.Fatalf("Charge with guarded speed = %g", got)
 	}
 }

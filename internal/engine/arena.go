@@ -189,10 +189,9 @@ func (e *Engine) release() {
 }
 
 // bootKey identifies one bootstrap dataset: BootstrapSet is a pure
-// function of (seed, n, noise), so estimators bootstrapped from equal keys
-// are interchangeable.
+// function of (seed, n, noise) and the seed is fixed, so estimators
+// bootstrapped from equal keys are interchangeable.
 type bootKey struct {
-	seed    int64
 	n       int
 	noiseCV float64
 }
@@ -206,10 +205,10 @@ var bootProtos sync.Map // bootKey → *qrsm.Estimator
 // buildEstimator constructs the run's processing-time oracle. The
 // bootstrap dominates a short run's CPU (200 observations plus a full QR
 // factorization before the first job arrives), and its result depends only
-// on (BootstrapSeed, BootstrapN, NoiseCV) — so optimized runs clone a
-// cached prototype instead. Cloning copies the exact post-Bootstrap state
-// a fresh estimator would reach, so trajectories are bit-identical; the
-// Reference mode and the no-reuse baseline keep paying the full bootstrap.
+// on (BootstrapN, NoiseCV) — so optimized runs clone a cached prototype
+// instead. Cloning copies the exact post-Bootstrap state a fresh estimator
+// would reach, so trajectories are bit-identical; the Reference mode and
+// the no-reuse baseline keep paying the full bootstrap.
 func (e *Engine) buildEstimator() *qrsm.Estimator {
 	cfg := e.cfg
 	if cfg.BootstrapN <= 0 {
@@ -217,17 +216,17 @@ func (e *Engine) buildEstimator() *qrsm.Estimator {
 	}
 	if cfg.Reference || arenaPoolingOff.Load() {
 		est := qrsm.NewEstimator()
-		fs, ys := workload.BootstrapSet(cfg.BootstrapSeed+7, cfg.BootstrapN, cfg.NoiseCV)
+		fs, ys := workload.BootstrapSet(bootstrapSeed, cfg.BootstrapN, cfg.NoiseCV)
 		est.Bootstrap(fs, ys)
 		return est
 	}
-	key := bootKey{cfg.BootstrapSeed, cfg.BootstrapN, cfg.NoiseCV}
+	key := bootKey{cfg.BootstrapN, cfg.NoiseCV}
 	var proto *qrsm.Estimator
 	if v, ok := bootProtos.Load(key); ok {
 		proto = v.(*qrsm.Estimator)
 	} else {
 		proto = qrsm.NewEstimator()
-		fs, ys := workload.BootstrapSet(cfg.BootstrapSeed+7, cfg.BootstrapN, cfg.NoiseCV)
+		fs, ys := workload.BootstrapSet(bootstrapSeed, cfg.BootstrapN, cfg.NoiseCV)
 		proto.Bootstrap(fs, ys)
 		proto.Materialize() // pay the factorization once, not per clone
 		// Settle the R² every run reports, or each clone computes it anew.

@@ -75,7 +75,7 @@ func startAutoscaler(e *Engine, cfg AutoscaleConfig) (*autoscaler, error) {
 func (a *autoscaler) bootDone(now float64, _ any) {
 	e := a.e
 	a.pendingBoots--
-	m := e.ec.AddMachine(e.cfg.ECSpeed)
+	m := e.ec.AddMachine(machineSpeed)
 	if e.wants(trace.AutoscaleBoot) {
 		e.tracer.Emit(trace.Event{
 			Type: trace.AutoscaleBoot, T: now,
@@ -100,7 +100,7 @@ func (a *autoscaler) tick() {
 	if fleet < 1 {
 		fleet = 1
 	}
-	wait := demandStd / (float64(fleet) * e.cfg.ECSpeed)
+	wait := demandStd / float64(fleet)
 
 	switch {
 	case wait > a.cfg.TargetWait && e.ec.Size()+a.pendingBoots < a.cfg.Max:

@@ -120,5 +120,5 @@ func newMeter(cfg Config) *cost.Meter {
 	if cfg.Cost == nil {
 		return nil
 	}
-	return cost.NewMeter(cfg.Cost.WithDefaults(), cfg.ECSpeed)
+	return cost.NewMeter(cfg.Cost.WithDefaults())
 }

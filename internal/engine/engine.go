@@ -26,21 +26,30 @@ import (
 	"cloudburst/internal/trace"
 )
 
+// The paper's test bed fixes these (Sec. V): standard-speed VMs in both
+// clouds, link jitter resampled every minute, time-of-day bandwidth
+// predictors with one slot per hour, a QRSM bootstrapped from one fixed
+// historical set, and idle rescheduling checked every 30 s.
+const (
+	machineSpeed       = 1.0
+	resamplePeriod     = 60
+	predictorSlots     = 24
+	bootstrapSeed      = 7
+	reschedulingPeriod = 30
+)
+
 // Config parameterizes a run. Zero values take defaults mirroring the
 // paper's test bed: 8 IC VMs, 2 EC VMs, a diurnal thin pipe, 1 MB probes,
 // and a bootstrapped QRSM.
 type Config struct {
 	// Clusters.
-	ICMachines int     // default 8
-	ICSpeed    float64 // default 1.0
-	ECMachines int     // default 2
-	ECSpeed    float64 // default 1.0
+	ICMachines int // default 8
+	ECMachines int // default 2
 
 	// Network.
 	UploadProfile   *netsim.Profile // default diurnal 600 kB/s ±30%
 	DownloadProfile *netsim.Profile // default diurnal 900 kB/s ±30%
 	JitterCV        float64         // default 0.15 ("high variation" runs use ~0.5)
-	ResamplePeriod  float64         // default 60 s
 	ThreadModel     netsim.ThreadModel
 	NetSeed         int64
 	// Outages, when set, injects throttling/outage episodes on both links.
@@ -48,12 +57,9 @@ type Config struct {
 
 	// Learned models.
 	ProbePeriod    float64 // default 300 s; negative disables probing
-	ProbeBytes     int64   // default 1 MB
 	PredictorAlpha float64 // default 0.3
-	PredictorSlots int     // default 24
 	PriorBW        float64 // default 300 kB/s
 	BootstrapN     int     // QRSM bootstrap samples, default 200; negative disables
-	BootstrapSeed  int64
 	NoiseCV        float64 // QRSM bootstrap noise (default 0.12)
 
 	// Scheduler tuning.
@@ -64,8 +70,7 @@ type Config struct {
 	RemoteSites []RemoteSiteConfig
 
 	// Rescheduling strategies of Sec. IV-D (idle steal-back / idle pull).
-	Rescheduling       bool
-	ReschedulingPeriod float64 // default 30 s
+	Rescheduling bool
 
 	// Autoscale, when set, makes the EC fleet elastic: machines boot (after
 	// a delay) when the committed EC demand would queue too long and drain
@@ -118,14 +123,8 @@ func (c Config) withDefaults() Config {
 	if c.ICMachines == 0 {
 		c.ICMachines = 8
 	}
-	if c.ICSpeed == 0 {
-		c.ICSpeed = 1
-	}
 	if c.ECMachines == 0 {
 		c.ECMachines = 2
-	}
-	if c.ECSpeed == 0 {
-		c.ECSpeed = 1
 	}
 	if c.UploadProfile == nil {
 		c.UploadProfile = netsim.DiurnalProfile(600*1024, 0.3)
@@ -136,23 +135,14 @@ func (c Config) withDefaults() Config {
 	if c.JitterCV == 0 {
 		c.JitterCV = 0.15
 	}
-	if c.ResamplePeriod == 0 {
-		c.ResamplePeriod = 60
-	}
 	if c.ThreadModel.PerThread == 0 {
 		c.ThreadModel = netsim.DefaultThreadModel()
 	}
 	if c.ProbePeriod == 0 {
 		c.ProbePeriod = 300
 	}
-	if c.ProbeBytes == 0 {
-		c.ProbeBytes = 1 << 20
-	}
 	if c.PredictorAlpha == 0 {
 		c.PredictorAlpha = 0.3
-	}
-	if c.PredictorSlots == 0 {
-		c.PredictorSlots = 24
 	}
 	if c.PriorBW == 0 {
 		c.PriorBW = 300 * 1024
@@ -162,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NoiseCV == 0 {
 		c.NoiseCV = 0.12
-	}
-	if c.ReschedulingPeriod == 0 {
-		c.ReschedulingPeriod = 30
 	}
 	if c.MaxVirtualTime == 0 {
 		c.MaxVirtualTime = 30 * netsim.Day

@@ -46,8 +46,6 @@ type FaultConfig struct {
 	// Seed drives the dedicated fault RNG, independent of the workload and
 	// network streams.
 	Seed int64
-
-	maxRetriesSet bool // distinguishes an explicit 0 from the default
 }
 
 // Enabled reports whether any fault source is active.
@@ -55,14 +53,8 @@ func (f *FaultConfig) Enabled() bool {
 	return f != nil && (f.ECRevocation.Enabled() || f.ICCrash.Enabled() || f.TransferStalls.Enabled())
 }
 
-// SetMaxRetries fixes the retry budget explicitly, allowing zero.
-func (f *FaultConfig) SetMaxRetries(n int) {
-	f.MaxRetries = n
-	f.maxRetriesSet = true
-}
-
 func (f FaultConfig) withDefaults() FaultConfig {
-	if f.MaxRetries == 0 && !f.maxRetriesSet {
+	if f.MaxRetries == 0 {
 		f.MaxRetries = 2
 	}
 	if f.MaxRetries < 0 {

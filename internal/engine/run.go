@@ -127,7 +127,7 @@ func (e *Engine) emitRunConfigured() {
 	ev := trace.Event{
 		Type: trace.RunConfigured, T: e.eng.Now(),
 		ICMachines: e.cfg.ICMachines, ECMachines: e.cfg.ECMachines,
-		ECSpeed: e.cfg.ECSpeed, Autoscale: e.cfg.Autoscale != nil,
+		ECSpeed: machineSpeed, Autoscale: e.cfg.Autoscale != nil,
 		Scheduler:     e.sched.Name(),
 		LinkBWCeiling: maxThreadLimit(e.cfg.ThreadModel),
 	}
@@ -142,7 +142,7 @@ func (e *Engine) emitRunConfigured() {
 // build wires the substrates: the IC, then the external clouds.
 func (e *Engine) build() {
 	cfg := e.cfg
-	e.ic = cluster.Uniform(e.eng, "ic", cfg.ICMachines, cfg.ICSpeed)
+	e.ic = cluster.Uniform(e.eng, "ic", cfg.ICMachines, machineSpeed)
 	e.attachClusterTrace(e.ic)
 	e.buildSites()
 	e.ec = e.sites[0].cluster
@@ -150,7 +150,7 @@ func (e *Engine) build() {
 	e.estimator = e.buildEstimator()
 
 	if cfg.Rescheduling {
-		sim.NewTicker(e.eng, cfg.ReschedulingPeriod, func(now float64) { e.reschedule() })
+		sim.NewTicker(e.eng, reschedulingPeriod, func(now float64) { e.reschedule() })
 	}
 
 	if cfg.Faults != nil {
@@ -174,7 +174,7 @@ func (e *Engine) state() *sched.State {
 		Now:               e.eng.Now(),
 		ICBacklogStd:      e.ic.BacklogStdSeconds(),
 		ICMachines:        e.ic.Size(),
-		ICSpeed:           e.cfg.ICSpeed,
+		ICSpeed:           machineSpeed,
 		ECBacklogStd:      ps.BacklogStd,
 		ECMachines:        ps.Machines,
 		ECSpeed:           ps.Speed,

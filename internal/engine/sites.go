@@ -17,8 +17,7 @@ import (
 // ("one could possibly choose from a pool of Cloud Providers at run-time").
 // Each site has its own cluster and its own network path.
 type RemoteSiteConfig struct {
-	Machines        int     // default 2
-	Speed           float64 // default 1.0
+	Machines        int // default 2
 	UploadProfile   *netsim.Profile
 	DownloadProfile *netsim.Profile
 	JitterCV        float64 // default: the engine's JitterCV
@@ -34,7 +33,6 @@ type RemoteSiteConfig struct {
 // result queue.
 type ecSite struct {
 	cluster   *cluster.Cluster
-	speed     float64
 	upQ       uploader
 	downQ     *netsim.Queue
 	upPred    *netsim.Predictor
@@ -63,17 +61,13 @@ func (e *Engine) buildSites() {
 	netRNG.ForkInto(downRNG)
 	e.sites = make([]*ecSite, 0, 1+len(cfg.RemoteSites))
 	primary := RemoteSiteConfig{
-		Machines: cfg.ECMachines, Speed: cfg.ECSpeed,
+		Machines: cfg.ECMachines, JitterCV: cfg.JitterCV,
 		UploadProfile: cfg.UploadProfile, DownloadProfile: cfg.DownloadProfile,
-		JitterCV: cfg.JitterCV,
 	}
 	e.sites = append(e.sites, e.buildSite(primary, upRNG, downRNG))
 	for _, rc := range cfg.RemoteSites {
 		if rc.Machines == 0 {
 			rc.Machines = 2
-		}
-		if rc.Speed == 0 {
-			rc.Speed = 1
 		}
 		if rc.UploadProfile == nil {
 			rc.UploadProfile = netsim.DiurnalProfile(600*1024, 0.3)
@@ -103,10 +97,9 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 	}
 	uplinkName, downlinkName := "uplink"+suffix, "downlink"+suffix
 	s := &ecSite{
-		cluster:   cluster.Uniform(e.eng, "ec"+suffix, rc.Machines, rc.Speed),
-		speed:     rc.Speed,
-		upPred:    netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
-		downPred:  netsim.NewPredictor(cfg.PredictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
+		cluster:   cluster.Uniform(e.eng, "ec"+suffix, rc.Machines, machineSpeed),
+		upPred:    netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
+		downPred:  netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
 		upTuner:   netsim.NewTuner(cfg.ThreadModel, 8),
 		downTuner: netsim.NewTuner(cfg.ThreadModel, 8),
 		upName:    "upload" + suffix,
@@ -117,7 +110,7 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 		Name:           uplinkName,
 		Profile:        rc.UploadProfile,
 		JitterCV:       rc.JitterCV,
-		ResamplePeriod: cfg.ResamplePeriod,
+		ResamplePeriod: resamplePeriod,
 		Threads:        cfg.ThreadModel,
 		Outages:        cfg.Outages,
 		OnOutage:       e.outageTrace(uplinkName),
@@ -126,7 +119,7 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 		Name:           downlinkName,
 		Profile:        rc.DownloadProfile,
 		JitterCV:       rc.JitterCV,
-		ResamplePeriod: cfg.ResamplePeriod,
+		ResamplePeriod: resamplePeriod,
 		Threads:        cfg.ThreadModel,
 		Outages:        cfg.Outages,
 		OnOutage:       e.outageTrace(downlinkName),
@@ -148,10 +141,7 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 	s.downQ.OnMeasure = func(at, pathBW float64) { s.downPred.Observe(at, pathBW) }
 
 	if cfg.ProbePeriod > 0 {
-		s.prober = netsim.NewProber(e.eng, uplink, s.upPred, s.upTuner, netsim.ProberConfig{
-			Period: cfg.ProbePeriod,
-			Bytes:  cfg.ProbeBytes,
-		})
+		s.prober = netsim.NewProber(e.eng, uplink, s.upPred, s.upTuner, netsim.ProberConfig{Period: cfg.ProbePeriod})
 		e.attachProbeTrace(s.prober, uplinkName)
 	}
 	return s
@@ -212,7 +202,7 @@ func (e *Engine) siteState(s *ecSite) (sched.SiteState, [3]float64, float64) {
 		BacklogStd:      s.cluster.BacklogStdSeconds(),
 		PendingStd:      s.pendStd,
 		Machines:        s.cluster.ActiveSize(),
-		Speed:           s.speed,
+		Speed:           machineSpeed,
 		UploadBacklog:   s.upQ.Backlog(),
 		DownloadBacklog: s.downQ.Backlog(),
 		DownloadPending: s.pendDown,

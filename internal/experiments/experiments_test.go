@@ -77,7 +77,7 @@ func TestRunReplicatedParallelDeterminism(t *testing.T) {
 func TestRunReplicatedPropagatesError(t *testing.T) {
 	spec := RunSpec{
 		Bucket:    workload.UniformMix,
-		Workload:  workload.Config{MinMB: 10, MaxMB: 5}, // invalid
+		Workload:  workload.Config{Batches: -1}, // invalid
 		Scheduler: func() sched.Scheduler { return sched.ICOnly{} },
 	}
 	if _, err := RunReplicated(spec, DefaultReplications(1, 2)); err == nil {

@@ -109,9 +109,9 @@ func TestProfileBoundaryChangesRate(t *testing.T) {
 	// 100s*100B/s + 50s*200B/s = 20000 bytes.
 	start := 12*3600 - 100.0
 	var doneAt float64
-	eng.Schedule(start, func() {
+	eng.ScheduleCall(start, func(float64, any) {
 		l.Start("x", 20000, 1, func(at float64, tr *Transfer) { doneAt = at })
-	})
+	}, nil)
 	eng.Run()
 	want := 12*3600 + 50.0
 	if math.Abs(doneAt-want) > 1e-3 {
@@ -255,9 +255,9 @@ func TestManyConcurrentTransfersConservation(t *testing.T) {
 		size := int64(g.Uniform(1000, 500000))
 		total += size
 		at := g.Uniform(0, 5000)
-		eng.Schedule(at, func() {
+		eng.ScheduleCall(at, func(float64, any) {
 			l.Start("t", size, 1+g.Intn(8), func(float64, *Transfer) { completed++ })
-		})
+		}, nil)
 	}
 	eng.RunUntil(1e7)
 	if completed != n {

@@ -94,7 +94,6 @@ type Prober struct {
 	link      *Link
 	predictor *Predictor
 	tuner     *Tuner
-	bytes     int64
 	ticker    *sim.Ticker
 	inFlight  bool
 	count     int
@@ -105,10 +104,12 @@ type Prober struct {
 	OnProbe func(at, pathBW float64)
 }
 
+// probeBytes is the probe payload: the paper's 1 MB probe file.
+const probeBytes = 1 << 20
+
 // ProberConfig parameterizes NewProber.
 type ProberConfig struct {
 	Period float64 // seconds between probes (e.g. 300)
-	Bytes  int64   // probe payload (default 1 MB)
 }
 
 // NewProber starts probing. tuner may be nil to probe with one thread.
@@ -116,10 +117,7 @@ func NewProber(eng *sim.Engine, link *Link, pred *Predictor, tuner *Tuner, cfg P
 	if cfg.Period <= 0 {
 		panic("netsim: probe period must be positive")
 	}
-	if cfg.Bytes <= 0 {
-		cfg.Bytes = 1 << 20
-	}
-	p := &Prober{link: link, predictor: pred, tuner: tuner, bytes: cfg.Bytes}
+	p := &Prober{link: link, predictor: pred, tuner: tuner}
 	p.ticker = sim.NewTicker(eng, cfg.Period, func(now float64) { p.probe() })
 	return p
 }
@@ -133,7 +131,7 @@ func (p *Prober) probe() {
 		threads = p.tuner.Threads()
 	}
 	p.inFlight = true
-	p.link.Start("probe", p.bytes, threads, func(at float64, tr *Transfer) {
+	p.link.Start("probe", probeBytes, threads, func(at float64, tr *Transfer) {
 		p.inFlight = false
 		p.count++
 		// The predictor learns path capacity (concurrency-corrected); the

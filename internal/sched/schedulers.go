@@ -47,39 +47,57 @@ func (Greedy) Name() string { return "Greedy" }
 // update for it.
 func (Greedy) Schedule(batch []*job.Job, st *State, alloc job.IDAllocator) []Decision {
 	out := make([]Decision, 0, len(batch))
-	pipes := allPipelines(st)
-	budget := st.BudgetRemaining
+	adm := newAdmission(st)
 	for _, j := range batch {
 		est := st.estProc(j)
 		// ft^ic: wait for the aggregate IC backlog, then process.
 		tic := st.ICBacklogStd/(float64(max(st.ICMachines, 1))*st.ICSpeed) + est/st.ICSpeed
-		site, tec := bestSite(pipes, j, est)
+		site, tec := bestSite(adm.pipes, j, est)
 		d := Decision{Job: j, EstProcStd: est, EstEC: tec, Threshold: tic, Gated: true}
-		burst := tic > tec
-		var charge float64
-		overBudget := false
-		if burst && st.BurstCharge != nil {
-			if charge = st.BurstCharge(est); charge > budget {
-				burst, overBudget = false, true
-			}
-		}
-		if burst {
-			pipes[site].commit(j, est)
-			budget -= charge
-			d.Place, d.Site = PlaceEC, site
-		} else {
-			d.Place = PlaceIC
-			if math.IsInf(tec, 1) || overBudget {
-				// No viable EC pipeline (fleet revoked), or the budget gate
-				// overrode the comparison: either way there was no admissible
-				// EstEC-vs-Threshold decision, and +Inf must not reach the
-				// trace stream.
-				d.EstEC, d.Gated, d.BudgetDenied = 0, false, overBudget
-			}
-		}
+		adm.admit(&d, tic > tec, site)
 		out = append(out, d)
 	}
 	return out
+}
+
+// admission is one batch's budget-gated burst step: the estimate pipeline
+// of every external cloud and the budget left to commit against.
+type admission struct {
+	st     *State
+	pipes  []*ecPipeline
+	budget float64
+}
+
+func newAdmission(st *State) admission {
+	return admission{st: st, pipes: allPipelines(st), budget: st.BudgetRemaining}
+}
+
+// admit settles a gated decision whose EstEC-vs-Threshold comparison chose
+// a burst when burst is true. A burst whose charge overruns the remaining
+// budget stays internal. An admitted burst commits to its site's pipeline
+// and pays its charge; it reports true. Otherwise d goes to the IC, and
+// when there was no admissible comparison — no viable EC pipeline (fleet
+// revoked, EstEC +Inf) or the budget overrode it — d drops its estimate
+// and its gate, so +Inf never reaches the trace stream.
+func (a *admission) admit(d *Decision, burst bool, site int) bool {
+	var charge float64
+	overBudget := false
+	if burst && a.st.BurstCharge != nil {
+		if charge = a.st.BurstCharge(d.EstProcStd); charge > a.budget {
+			burst, overBudget = false, true
+		}
+	}
+	if burst {
+		a.pipes[site].commit(d.Job, d.EstProcStd)
+		a.budget -= charge
+		d.Place, d.Site = PlaceEC, site
+		return true
+	}
+	d.Place = PlaceIC
+	if math.IsInf(d.EstEC, 1) || overBudget {
+		d.EstEC, d.Gated, d.BudgetDenied = 0, false, overBudget
+	}
+	return false
 }
 
 // GreedyTracking is Greedy with within-batch bookkeeping: each decision
@@ -95,32 +113,15 @@ func (GreedyTracking) Name() string { return "GreedyTracking" }
 // Schedule implements Scheduler.
 func (GreedyTracking) Schedule(batch []*job.Job, st *State, alloc job.IDAllocator) []Decision {
 	ic := newVirtualPool(st.ICMachines, st.ICSpeed, st.ICBacklogStd)
-	pipes := allPipelines(st)
+	adm := newAdmission(st)
 	out := make([]Decision, 0, len(batch))
-	budget := st.BudgetRemaining
 	for _, j := range batch {
 		est := st.estProc(j)
 		tic := peekPool(ic, est)
-		site, tec := bestSite(pipes, j, est)
+		site, tec := bestSite(adm.pipes, j, est)
 		d := Decision{Job: j, EstProcStd: est, EstEC: tec, Threshold: tic, Gated: true}
-		burst := tic > tec
-		var charge float64
-		overBudget := false
-		if burst && st.BurstCharge != nil {
-			if charge = st.BurstCharge(est); charge > budget {
-				burst, overBudget = false, true
-			}
-		}
-		if burst {
-			pipes[site].commit(j, est)
-			budget -= charge
-			d.Place, d.Site = PlaceEC, site
-		} else {
+		if !adm.admit(&d, tic > tec, site) {
 			ic.add(est, 0)
-			d.Place = PlaceIC
-			if math.IsInf(tec, 1) || overBudget {
-				d.EstEC, d.Gated, d.BudgetDenied = 0, false, overBudget
-			}
 		}
 		out = append(out, d)
 	}
@@ -235,35 +236,17 @@ func sizeStd(window []*job.Job) float64 {
 // cloud onto the critical path.
 func placeWithSlack(jobs []*job.Job, st *State, cfg Config) []Decision {
 	ic := newVirtualPool(st.ICMachines, st.ICSpeed, st.ICBacklogStd)
-	pipes := allPipelines(st)
+	adm := newAdmission(st)
 	out := make([]Decision, 0, len(jobs))
 	var maxICCompletion float64 // slack(J, i): latest internal completion so far
-	budget := st.BudgetRemaining
 	for _, j := range jobs {
 		est := st.estProc(j)
-		site, tec := bestSite(pipes, j, est)
+		site, tec := bestSite(adm.pipes, j, est)
 		slack := maxICCompletion - cfg.SlackMargin
 		d := Decision{Job: j, EstProcStd: est, EstEC: tec, Threshold: slack, Gated: true}
-		burst := tec <= slack
-		var charge float64
-		overBudget := false
-		if burst && st.BurstCharge != nil {
-			if charge = st.BurstCharge(est); charge > budget {
-				burst, overBudget = false, true
-			}
-		}
-		if burst {
-			pipes[site].commit(j, est)
-			budget -= charge
-			d.Place, d.Site = PlaceEC, site
-		} else {
-			done := ic.add(est, 0)
-			d.Place = PlaceIC
-			if done > maxICCompletion {
+		if !adm.admit(&d, tec <= slack, site) {
+			if done := ic.add(est, 0); done > maxICCompletion {
 				maxICCompletion = done
-			}
-			if math.IsInf(tec, 1) || overBudget {
-				d.EstEC, d.Gated, d.BudgetDenied = 0, false, overBudget
 			}
 		}
 		out = append(out, d)

@@ -78,18 +78,3 @@ func TestResetReuseAllocs(t *testing.T) {
 		t.Errorf("warm Reset+schedule+drain cycle allocates %v/op, want 0", allocs)
 	}
 }
-
-func TestLegacyScheduleAllocBudget(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	// Legacy closure events cannot be pooled (their *Event escapes to the
-	// caller for Cancel), so they pay one node plus the closure. Pin that
-	// ceiling; 3 leaves headroom for the closure's captured-variable cell.
-	allocs := testing.AllocsPerRun(100, func() {
-		e.ScheduleAfter(1, func() { fired++ })
-		e.Step()
-	})
-	if allocs > 3 {
-		t.Errorf("legacy ScheduleAfter+Step allocates %v/op, budget 3", allocs)
-	}
-}

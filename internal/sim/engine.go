@@ -11,23 +11,17 @@
 //
 // # Performance model
 //
-// Two scheduling APIs coexist:
-//
-//   - Schedule/ScheduleAfter take a plain closure and return a *Event
-//     handle. Those event nodes are heap-allocated and never recycled,
-//     because the caller may retain the handle indefinitely and Cancel it
-//     at any later point.
-//   - ScheduleCall/CallAfter/ScheduleTimer take a typed Callback plus an
-//     opaque argument. Their event nodes come from a free list and return
-//     to it the moment they fire or are cancelled, so steady-state
-//     scheduling allocates nothing. Cancellation goes through the Timer
-//     value handle, whose generation number makes stale cancels of a
-//     recycled node safe no-ops.
+// Every event is scheduled with a typed Callback plus an opaque argument
+// (ScheduleCall/CallAfter, or ScheduleTimer/TimerAfter when it may need
+// cancelling). Event nodes come from a free list and return to it the
+// moment they fire or are cancelled, so steady-state scheduling allocates
+// nothing. Cancellation goes through the Timer value handle, whose
+// generation number makes stale cancels of a recycled node safe no-ops.
 //
 // The priority queue is a hand-rolled 4-ary heap over (time, seq); it
 // avoids container/heap's interface calls and interface{} boxing on every
 // push/pop, and the flatter tree halves the levels touched by the
-// pop-heavy drive loop (four children share a cache line of *Event
+// pop-heavy drive loop (four children share a cache line of event
 // pointers). Because events are totally ordered by the unique (at, seq)
 // key, the heap arity cannot affect the firing order — any correct priority
 // queue yields the same trajectory — and reference mode (NewReference)
@@ -49,33 +43,23 @@ import (
 // allocation-free.
 type Callback func(now float64, arg any)
 
-// Event is a handle to a scheduled callback. It can be cancelled before it
-// fires; cancelling an already-fired or already-cancelled event is a no-op.
-// Events returned by Schedule/ScheduleAfter are never recycled; pooled
-// events (ScheduleCall/ScheduleTimer) are managed through Timer handles.
-type Event struct {
+// event is one pooled queue node: a callback and its argument, due at
+// virtual time at. Callers reach a node only through a Timer.
+type event struct {
 	at       float64
 	seq      uint64
-	fn       func()   // legacy closure path
-	cb       Callback // typed fast path
+	cb       Callback
 	arg      any
 	index    int32 // heap index; -1 when not in the heap
 	gen      uint32
-	pooled   bool
 	canceled bool
 }
-
-// Time returns the virtual time at which the event is (or was) scheduled.
-func (ev *Event) Time() float64 { return ev.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // Timer is a cancellable handle to a pooled event. The zero Timer is inert.
 // The generation number detects recycled nodes, so keeping a Timer past its
 // firing and cancelling it later is always safe.
 type Timer struct {
-	ev  *Event
+	ev  *event
 	gen uint32
 }
 
@@ -89,12 +73,12 @@ func (t Timer) Active() bool {
 type Engine struct {
 	now     float64
 	seq     uint64
-	events  []*Event // 4-ary heap on (at, seq); unordered in reference mode
-	free    []*Event // recycled pooled nodes; unused in reference mode
+	events  []*event // 4-ary heap on (at, seq); unordered in reference mode
+	free    []*event // recycled nodes; unused in reference mode
 	stopped bool
 	fired   uint64
 	// reference selects the naive structures (linear-scan min, fresh
-	// allocation per pooled event) — see NewReference.
+	// allocation per event) — see NewReference.
 	reference bool
 }
 
@@ -109,18 +93,13 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
 // events, counters cleared — while retaining the event free list and the
-// queue's backing array. Pending pooled events are recycled; non-pooled
-// handles are detached (their Timers and Cancel become no-ops). A Reset
-// engine is indistinguishable from a fresh NewEngine/NewReference apart
-// from the retained capacity, which is what makes arena reuse bit-exact.
+// queue's backing array. Pending events are recycled, so their Timers
+// become no-ops. A Reset engine is indistinguishable from a fresh
+// NewEngine/NewReference apart from the retained capacity, which is what
+// makes arena reuse bit-exact.
 func (e *Engine) Reset() {
 	for _, ev := range e.events {
-		if ev.pooled {
-			e.put(ev)
-		} else {
-			ev.index = -1
-			ev.fn, ev.cb, ev.arg = nil, nil, nil
-		}
+		e.put(ev)
 	}
 	clear(e.events)
 	e.events = e.events[:0]
@@ -148,25 +127,9 @@ func (e *Engine) checkTime(at float64) {
 	}
 }
 
-// Schedule registers fn to run at absolute virtual time at. Scheduling in
-// the past (at < Now) panics. The returned event is heap-allocated and
-// never pooled, so the handle stays valid indefinitely.
-func (e *Engine) Schedule(at float64, fn func()) *Event {
-	e.checkTime(at)
-	ev := &Event{at: at, seq: e.seq, fn: fn, index: -1}
-	e.seq++
-	e.push(ev)
-	return ev
-}
-
-// ScheduleAfter registers fn to run d seconds from now. Negative delays
-// panic.
-func (e *Engine) ScheduleAfter(d float64, fn func()) *Event {
-	return e.Schedule(e.now+d, fn)
-}
-
-// ScheduleCall registers a typed callback at absolute time at. The event
-// node comes from the free list and is recycled when it fires, so this path
+// ScheduleCall registers a typed callback at absolute time at. Scheduling
+// in the past (at < Now) or at a non-finite time panics. The event node
+// comes from the free list and is recycled when it fires, so this path
 // allocates nothing in steady state. The event cannot be cancelled; use
 // ScheduleTimer when cancellation is needed.
 func (e *Engine) ScheduleCall(at float64, cb Callback, arg any) {
@@ -178,7 +141,7 @@ func (e *Engine) ScheduleCall(at float64, cb Callback, arg any) {
 }
 
 // CallAfter registers a typed callback d seconds from now (pooled,
-// non-cancellable).
+// non-cancellable). Negative delays panic.
 func (e *Engine) CallAfter(d float64, cb Callback, arg any) {
 	e.ScheduleCall(e.now+d, cb, arg)
 }
@@ -201,20 +164,6 @@ func (e *Engine) TimerAfter(d float64, cb Callback, arg any) Timer {
 	return e.ScheduleTimer(e.now+d, cb, arg)
 }
 
-// Cancel removes the event from the queue if it has not fired yet.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.index >= 0 {
-		e.remove(int(ev.index))
-		if ev.pooled {
-			e.put(ev)
-		}
-	}
-}
-
 // CancelTimer cancels the timer's event if it is still pending. Cancelling
 // a zero Timer, an already-fired timer, or one whose node was recycled is a
 // no-op.
@@ -234,24 +183,16 @@ func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
 		ev := e.pop()
 		if ev.canceled {
-			if ev.pooled {
-				e.put(ev)
-			}
+			e.put(ev)
 			continue
 		}
 		e.now = ev.at
 		e.fired++
-		if ev.cb != nil {
-			// Recycle before invoking so the callback can reuse the node
-			// for whatever it schedules next.
-			cb, arg := ev.cb, ev.arg
-			e.put(ev)
-			cb(e.now, arg)
-		} else {
-			fn := ev.fn
-			ev.fn = nil
-			fn()
-		}
+		// Recycle before invoking so the callback can reuse the node for
+		// whatever it schedules next.
+		cb, arg := ev.cb, ev.arg
+		e.put(ev)
+		cb(e.now, arg)
 		return true
 	}
 	return false
@@ -289,7 +230,7 @@ func (e *Engine) RunUntil(t float64) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // peek returns the earliest non-cancelled event without removing it.
-func (e *Engine) peek() *Event {
+func (e *Engine) peek() *event {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if e.reference {
@@ -299,9 +240,7 @@ func (e *Engine) peek() *Event {
 			return ev
 		}
 		e.pop() // removes exactly ev: the minimum by (at, seq) in both modes
-		if ev.pooled {
-			e.put(ev)
-		}
+		e.put(ev)
 	}
 	return nil
 }
@@ -318,23 +257,23 @@ func (e *Engine) NextEventTime() (float64, bool) {
 
 // --- free list ---
 
-// get returns a cleared pooled node. Reference mode always allocates fresh.
-func (e *Engine) get() *Event {
+// get returns a cleared node. Reference mode always allocates fresh.
+func (e *Engine) get() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{pooled: true, index: -1}
+	return &event{index: -1}
 }
 
-// put recycles a pooled node, bumping its generation so stale Timer handles
-// cannot touch its next incarnation. Reference mode only retires the node
+// put recycles a node, bumping its generation so stale Timer handles cannot
+// touch its next incarnation. Reference mode only retires the node
 // (generation bump, field clear) without returning it to the free list.
-func (e *Engine) put(ev *Event) {
+func (e *Engine) put(ev *event) {
 	ev.gen++
-	ev.fn, ev.cb, ev.arg = nil, nil, nil
+	ev.cb, ev.arg = nil, nil
 	ev.canceled = false
 	ev.index = -1
 	if e.reference {
@@ -366,7 +305,7 @@ func (e *Engine) swap(i, j int) {
 	e.events[j].index = int32(j)
 }
 
-func (e *Engine) push(ev *Event) {
+func (e *Engine) push(ev *event) {
 	ev.index = int32(len(e.events))
 	e.events = append(e.events, ev)
 	if e.reference {
@@ -375,7 +314,7 @@ func (e *Engine) push(ev *Event) {
 	e.up(len(e.events) - 1)
 }
 
-func (e *Engine) pop() *Event {
+func (e *Engine) pop() *event {
 	if e.reference {
 		i := e.minIndex()
 		ev := e.events[i]

@@ -20,8 +20,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestScheduleAndRunAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	var fired []float64
-	e.Schedule(5, func() { fired = append(fired, e.Now()) })
-	e.Schedule(2, func() { fired = append(fired, e.Now()) })
+	record := func(now float64, _ any) { fired = append(fired, now) }
+	e.ScheduleCall(5, record, nil)
+	e.ScheduleCall(2, record, nil)
 	e.Run()
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 5 {
 		t.Fatalf("fired = %v, want [2 5]", fired)
@@ -34,11 +35,18 @@ func TestScheduleAndRunAdvancesClock(t *testing.T) {
 func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
+	record := func(_ float64, arg any) { order = append(order, arg.(int)) }
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(1, func() { order = append(order, i) })
+		if i%2 == 0 {
+			e.ScheduleCall(1, record, i)
+		} else {
+			e.ScheduleTimer(1, record, i)
+		}
 	}
 	e.Run()
+	if len(order) != 10 {
+		t.Fatalf("fired %d events, want 10", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d, want %d (FIFO at equal times)", i, v, i)
@@ -48,26 +56,28 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 
 func TestScheduleAfter(t *testing.T) {
 	e := NewEngine()
-	var at float64 = -1
-	e.Schedule(3, func() {
-		e.ScheduleAfter(4, func() { at = e.Now() })
-	})
+	var at, timerAt float64 = -1, -1
+	e.ScheduleCall(3, func(float64, any) {
+		e.CallAfter(4, func(now float64, _ any) { at = now }, nil)
+		e.TimerAfter(5, func(now float64, _ any) { timerAt = now }, nil)
+	}, nil)
 	e.Run()
-	if at != 7 {
-		t.Fatalf("nested ScheduleAfter fired at %v, want 7", at)
+	if at != 7 || timerAt != 8 {
+		t.Fatalf("nested CallAfter fired at %v and TimerAfter at %v, want 7 and 8", at, timerAt)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	noop := func(float64, any) {}
+	e.ScheduleCall(10, noop, nil)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func() {})
+	e.ScheduleCall(5, noop, nil)
 }
 
 func TestScheduleNaNPanics(t *testing.T) {
@@ -77,38 +87,62 @@ func TestScheduleNaNPanics(t *testing.T) {
 			t.Fatal("scheduling at NaN did not panic")
 		}
 	}()
-	e.Schedule(math.NaN(), func() {})
+	e.ScheduleTimer(math.NaN(), func(float64, any) {}, nil)
 }
 
 func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	e.Cancel(ev)
+	tm := e.ScheduleTimer(1, func(float64, any) { fired = true }, nil)
+	if !tm.Active() {
+		t.Fatal("Active() = false before the timer fired")
+	}
+	e.CancelTimer(tm)
+	if tm.Active() {
+		t.Fatal("Active() = true after CancelTimer")
+	}
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
 }
 
+// TestCancelIsIdempotent cancels a timer twice, cancels the zero Timer, and
+// cancels a stale timer whose node has since been recycled for another
+// event: every repeat is a no-op and the recycled node's new event fires.
 func TestCancelIsIdempotent(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(1, func() {})
-	e.Cancel(ev)
-	e.Cancel(ev) // must not panic
-	e.Cancel(nil)
+	noop := func(float64, any) {}
+	tm := e.ScheduleTimer(1, noop, nil)
+	e.CancelTimer(tm)
+	e.CancelTimer(tm) // must not panic or touch the recycled node
+	e.CancelTimer(Timer{})
 	e.Run()
+
+	fired := e.ScheduleTimer(2, noop, nil)
+	e.Run()
+	reused := false
+	next := e.ScheduleTimer(3, func(float64, any) { reused = true }, nil)
+	if next.ev != fired.ev {
+		t.Fatal("the free list did not hand the fired node out again")
+	}
+	e.CancelTimer(fired) // stale: the node now carries next
+	e.CancelTimer(tm)
+	if !next.Active() {
+		t.Fatal("a stale cancel deactivated the node's new event")
+	}
+	e.Run()
+	if !reused {
+		t.Fatal("a stale cancel removed the node's new event")
+	}
 }
 
 func TestCancelFromWithinEvent(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	var ev *Event
-	e.Schedule(1, func() { e.Cancel(ev) })
-	ev = e.Schedule(2, func() { fired = true })
+	var tm Timer
+	e.ScheduleCall(1, func(float64, any) { e.CancelTimer(tm) }, nil)
+	tm = e.ScheduleTimer(2, func(float64, any) { fired = true }, nil)
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled by earlier event still fired")
@@ -118,9 +152,9 @@ func TestCancelFromWithinEvent(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine()
 	var fired []float64
+	record := func(now float64, _ any) { fired = append(fired, now) }
 	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.ScheduleCall(at, record, nil)
 	}
 	e.RunUntil(3)
 	if len(fired) != 3 {
@@ -141,7 +175,7 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 func TestRunUntilIncludesEventsAtBoundary(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(3, func() { fired = true })
+	e.ScheduleCall(3, func(float64, any) { fired = true }, nil)
 	e.RunUntil(3)
 	if !fired {
 		t.Fatal("event at the RunUntil boundary did not fire")
@@ -152,12 +186,12 @@ func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), func() {
+		e.ScheduleCall(float64(i), func(float64, any) {
 			count++
 			if count == 4 {
 				e.Stop()
 			}
-		})
+		}, nil)
 	}
 	e.Run()
 	if count != 4 {
@@ -175,12 +209,13 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := e.NextEventTime(); ok {
 		t.Fatal("NextEventTime reported an event on an empty engine")
 	}
-	ev := e.Schedule(7, func() {})
-	e.Schedule(9, func() {})
+	noop := func(float64, any) {}
+	tm := e.ScheduleTimer(7, noop, nil)
+	e.ScheduleCall(9, noop, nil)
 	if at, ok := e.NextEventTime(); !ok || at != 7 {
 		t.Fatalf("NextEventTime = %v,%v want 7,true", at, ok)
 	}
-	e.Cancel(ev)
+	e.CancelTimer(tm)
 	if at, ok := e.NextEventTime(); !ok || at != 9 {
 		t.Fatalf("NextEventTime after cancel = %v,%v want 9,true", at, ok)
 	}
@@ -189,7 +224,7 @@ func TestNextEventTime(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.Schedule(float64(i), func() {})
+		e.ScheduleCall(float64(i), func(float64, any) {}, nil)
 	}
 	e.Run()
 	if e.Fired() != 5 {
@@ -207,10 +242,11 @@ func TestRandomizedOrdering(t *testing.T) {
 		n := 200
 		want := make([]float64, n)
 		var got []float64
+		record := func(now float64, _ any) { got = append(got, now) }
 		for i := 0; i < n; i++ {
 			at := math.Floor(rng.Float64()*100) / 4 // duplicates likely
 			want[i] = at
-			e.Schedule(at, func() { got = append(got, e.Now()) })
+			e.ScheduleCall(at, record, nil)
 		}
 		sort.Float64s(want)
 		e.Run()

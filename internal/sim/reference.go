@@ -6,8 +6,8 @@ package sim
 //
 //   - The pending set is an unordered slice; the next event is found by a
 //     linear scan for the minimum (at, seq) instead of a binary heap.
-//   - Pooled scheduling paths allocate a fresh node per event; nothing is
-//     ever recycled through the free list.
+//   - Every event gets a freshly allocated node; nothing is ever recycled
+//     through the free list.
 //
 // Because events are totally ordered by the unique (at, seq) key, both
 // modes fire the exact same events in the exact same order, so a model

@@ -49,18 +49,14 @@ func driveScript(e *Engine, seed int64) []firing {
 	}
 	e.CallAfter(0.5, chain, 1)
 
-	// Legacy closure events with eager cancellation.
-	var evs []*Event
+	// Timers scheduled up front, every third cancelled before the run.
+	var eager []Timer
 	for i := 0; i < 25; i++ {
-		at := rng.Float64() * 60
-		n := tag
+		eager = append(eager, e.ScheduleTimer(rng.Float64()*60, record, tag))
 		tag++
-		evs = append(evs, e.Schedule(at, func() {
-			log = append(log, firing{at: e.Now(), tag: n})
-		}))
 	}
-	for i := 0; i < len(evs); i += 3 {
-		e.Cancel(evs[i])
+	for i := 0; i < len(eager); i += 3 {
+		e.CancelTimer(eager[i])
 	}
 
 	e.Run()

@@ -4,17 +4,37 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
 )
 
-// manifestEntry is one completed cell, keyed by its configuration
-// fingerprint so resume survives grid edits: cells whose configuration is
-// unchanged are recognized wherever they moved in the expansion order.
-type manifestEntry struct {
+// ManifestEntry is one manifest row, a completed cell. It is keyed by its
+// configuration fingerprint so resume survives grid edits: cells whose
+// configuration is unchanged are recognized wherever they moved in the
+// expansion order.
+type ManifestEntry struct {
 	FP      string  `json:"fp"`
 	Metrics Metrics `json:"metrics"`
+}
+
+// ReadManifest reads manifest rows from r in file order and hands each one
+// to fn. A malformed line or one without a fingerprint is skipped: it is
+// the torn tail of a crashed append (or manual editing), everything before
+// it is trustworthy, and its cell simply re-runs. Lines are capped at 1 MB;
+// a longer one fails the read with bufio.ErrTooLong.
+func ReadManifest(r io.Reader, fn func(ManifestEntry)) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		var e ManifestEntry
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.FP == "" {
+			continue
+		}
+		fn(e)
+	}
+	return sc.Err()
 }
 
 // Manifest is the crash-safe resume journal of a sweep: an append-only
@@ -37,19 +57,7 @@ func OpenManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("sweep: open manifest: %w", err)
 	}
 	m := &Manifest{f: f, have: make(map[string]Metrics)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var e manifestEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.FP == "" {
-			// A malformed line is the torn tail of a crashed append (or
-			// manual editing); everything before it is trustworthy, the
-			// line itself is discarded and its cell simply re-runs.
-			continue
-		}
-		m.have[e.FP] = e.Metrics
-	}
-	if err := sc.Err(); err != nil {
+	if err := ReadManifest(f, func(e ManifestEntry) { m.have[e.FP] = e.Metrics }); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("sweep: read manifest: %w", err)
 	}
@@ -93,7 +101,7 @@ func (m *Manifest) Append(c Cell, v Metrics) error {
 	if c.Fingerprint == "" {
 		return nil
 	}
-	line, err := json.Marshal(manifestEntry{FP: c.Fingerprint, Metrics: v})
+	line, err := json.Marshal(ManifestEntry{FP: c.Fingerprint, Metrics: v})
 	if err != nil {
 		return fmt.Errorf("sweep: marshal manifest entry: %w", err)
 	}

@@ -86,7 +86,7 @@ func TestRunCellsManifestResume(t *testing.T) {
 
 func TestManifestTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
-	good, _ := json.Marshal(manifestEntry{FP: "fpa", Metrics: Metrics{Makespan: 1}})
+	good, _ := json.Marshal(ManifestEntry{FP: "fpa", Metrics: Metrics{Makespan: 1}})
 	torn := `{"fp":"fpb","metrics":{"mak` // crash mid-write
 	if err := os.WriteFile(path, append(append(good, '\n'), torn...), 0o644); err != nil {
 		t.Fatal(err)

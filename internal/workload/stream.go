@@ -60,14 +60,7 @@ type StreamConfig struct {
 	Rate RateFunc
 	// Burst, when non-nil, arms MMPP flash-crowd modulation on top of Rate.
 	Burst *BurstConfig
-
-	MinMB, MaxMB  float64 // job size range (default 1..300)
-	BiasFraction  float64 // see Config.BiasFraction (default 0.6)
-	OutputRatioLo float64 // output/input ratio range (default 0.3..0.8)
-	OutputRatioHi float64
-	NoiseCV       float64 // processing-time noise CV (default 0.12)
-	Seed          int64
-	FirstBatchAt  float64 // arrival time of batch 0 (default 0)
+	Seed  int64
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -76,24 +69,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.BaseJobsPerBatch == 0 {
 		c.BaseJobsPerBatch = 15
-	}
-	if c.MinMB == 0 {
-		c.MinMB = 1
-	}
-	if c.MaxMB == 0 {
-		c.MaxMB = 300
-	}
-	if c.BiasFraction == 0 {
-		c.BiasFraction = 0.6
-	}
-	if c.OutputRatioLo == 0 {
-		c.OutputRatioLo = 0.3
-	}
-	if c.OutputRatioHi == 0 {
-		c.OutputRatioHi = 0.8
-	}
-	if c.NoiseCV == 0 {
-		c.NoiseCV = 0.12
 	}
 	if c.Burst != nil {
 		b := c.Burst.withDefaults()
@@ -108,16 +83,6 @@ func (c StreamConfig) validate() error {
 		return fmt.Errorf("workload: non-positive batch interval %v", c.Interval)
 	case c.BaseJobsPerBatch < 0:
 		return fmt.Errorf("workload: negative base batch size %v", c.BaseJobsPerBatch)
-	case c.MinMB <= 0 || c.MaxMB < c.MinMB:
-		return fmt.Errorf("workload: bad size range [%v,%v]", c.MinMB, c.MaxMB)
-	case c.OutputRatioLo <= 0 || c.OutputRatioHi < c.OutputRatioLo:
-		return fmt.Errorf("workload: bad output ratio range [%v,%v]", c.OutputRatioLo, c.OutputRatioHi)
-	case c.NoiseCV < 0:
-		return fmt.Errorf("workload: negative noise CV %v", c.NoiseCV)
-	case c.BiasFraction < 0 || c.BiasFraction > 1:
-		return fmt.Errorf("workload: bias fraction %v out of [0,1]", c.BiasFraction)
-	case c.FirstBatchAt < 0:
-		return fmt.Errorf("workload: negative first batch time %v", c.FirstBatchAt)
 	}
 	if b := c.Burst; b != nil {
 		switch {
@@ -134,19 +99,17 @@ func (c StreamConfig) validate() error {
 
 // Stream is an endless batch source: a non-homogeneous Poisson process
 // whose rate follows Rate(t) — by default the diurnal day-shape — with
-// optional MMPP flash-crowd bursts layered on top. Unlike the finite
-// Generator it permits empty batches: a quiet overnight interval genuinely
-// produces nothing, which is exactly what rolling-window metrics must
-// tolerate.
+// optional MMPP flash-crowd bursts layered on top. It is the general
+// arrival process; a Generator's finite workload is its steady case. It
+// draws its jobs through the same synthesizer from the same four streams
+// and adds only λ(t) and a fifth stream for the burst phases. Unlike the
+// finite Generator it permits empty batches: a quiet overnight interval
+// genuinely produces nothing, which is exactly what rolling-window metrics
+// must tolerate.
 type Stream struct {
-	cfg   StreamConfig
-	truth *TruthModel
-
-	sizeRNG  *stats.RNG
-	featRNG  *stats.RNG
-	noiseRNG *stats.RNG
-	countRNG *stats.RNG
-	burstRNG *stats.RNG
+	cfg StreamConfig
+	synth
+	burstRNG stats.RNG
 
 	next int     // next batch index
 	at   float64 // next batch arrival time
@@ -156,26 +119,21 @@ type Stream struct {
 	burstEdge float64
 }
 
-// NewStream validates the config and returns the arrival process, with all
-// RNG streams forked from the seed exactly like the finite Generator.
+// NewStream validates the config and returns the arrival process, with the
+// synthesizer's four streams forked from the seed exactly like the finite
+// Generator's and the burst stream forked after them.
 func NewStream(cfg StreamConfig) (*Stream, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	s := &Stream{
-		cfg:      cfg,
-		truth:    NewTruthModel(cfg.NoiseCV),
-		sizeRNG:  rng.Fork(),
-		featRNG:  rng.Fork(),
-		noiseRNG: rng.Fork(),
-		countRNG: rng.Fork(),
-		burstRNG: rng.Fork(),
-		at:       cfg.FirstBatchAt,
-	}
+	root := stats.NewRNG(cfg.Seed)
+	s := &Stream{cfg: cfg}
+	s.bucket, s.truth = cfg.Bucket, NewTruthModel(defaultNoiseCV)
+	s.fork(root)
+	root.ForkInto(&s.burstRNG)
 	if cfg.Burst != nil {
-		s.burstEdge = cfg.FirstBatchAt + s.burstRNG.Exponential(cfg.Burst.MeanGap)
+		s.burstEdge = s.burstRNG.Exponential(cfg.Burst.MeanGap)
 	}
 	return s, nil
 }
@@ -188,13 +146,6 @@ func MustNewStream(cfg StreamConfig) *Stream {
 	}
 	return s
 }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Stream) Config() StreamConfig { return s.cfg }
-
-// Truth exposes the ground-truth processing-time model (for harnesses that
-// need oracle comparisons; schedulers must not touch it).
-func (s *Stream) Truth() *TruthModel { return s.truth }
 
 // rate evaluates λ(t): the configured Rate (or the diurnal default) times
 // the MMPP burst multiplier for the current phase.
@@ -235,37 +186,7 @@ func (s *Stream) NextBatch(ids job.IDAllocator) (Batch, bool) {
 	index := s.next
 	s.next++
 	s.at += s.cfg.Interval
-
-	n := 0
-	if lambda := s.rate(at); lambda > 0 {
-		n = s.countRNG.Poisson(lambda)
-	}
-	jobs := make([]*job.Job, 0, n)
-	for k := 0; k < n; k++ {
-		sizeMB := drawSizeMB(s.sizeRNG, Config{
-			Bucket:       s.cfg.Bucket,
-			MinMB:        s.cfg.MinMB,
-			MaxMB:        s.cfg.MaxMB,
-			BiasFraction: s.cfg.BiasFraction,
-		})
-		f := SynthFeatures(s.featRNG, sizeMB)
-		outRatio := s.featRNG.Uniform(s.cfg.OutputRatioLo, s.cfg.OutputRatioHi)
-		j := &job.Job{
-			ID:           ids.NextID(),
-			ParentID:     -1,
-			BatchID:      index,
-			ArrivalTime:  at,
-			InputSize:    job.Bytes(sizeMB),
-			OutputSize:   job.Bytes(sizeMB * outRatio),
-			Features:     f,
-			TrueProcTime: s.truth.Sample(s.noiseRNG, f),
-		}
-		if err := j.Validate(); err != nil {
-			panic(fmt.Sprintf("workload: generated invalid job: %v", err))
-		}
-		jobs = append(jobs, j)
-	}
-	return Batch{Index: index, At: at, Jobs: jobs}, true
+	return s.batch(index, at, s.rate(at), 0, ids), true
 }
 
 // SliceSource adapts a finite, pre-generated batch slice to the Source

@@ -123,11 +123,7 @@ func TestStreamZeroRateProducesEmptyBatches(t *testing.T) {
 func TestStreamConfigValidation(t *testing.T) {
 	bad := []StreamConfig{
 		{Interval: -1},
-		{MinMB: 10, MaxMB: 5},
-		{OutputRatioLo: 0.9, OutputRatioHi: 0.5},
-		{NoiseCV: -0.1},
-		{BiasFraction: 2},
-		{FirstBatchAt: -5},
+		{BaseJobsPerBatch: -1},
 		{Burst: &BurstConfig{Factor: 0.5}},
 		{Burst: &BurstConfig{MeanDuration: -1}},
 	}

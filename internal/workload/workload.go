@@ -46,23 +46,25 @@ func (b Bucket) String() string {
 // Buckets lists all three in paper order.
 func Buckets() []Bucket { return []Bucket{SmallBias, UniformMix, LargeBias} }
 
+// The paper's job shape (Sec. V): print-shop documents of 1–300 MB whose
+// output is 30–80 % of their input. A biased bucket draws from its favoured
+// third of the size range with probability biasFraction and from the full
+// range otherwise, so its jobs still span 1–300 MB.
+const (
+	minMB, maxMB                 = 1, 300
+	biasFraction                 = 0.6
+	outputRatioLo, outputRatioHi = 0.3, 0.8
+	defaultNoiseCV               = 0.12
+)
+
 // Config parameterizes a Generator. Zero fields take the paper defaults.
 type Config struct {
 	Bucket           Bucket
 	Batches          int     // number of batches (default 6)
 	BatchInterval    float64 // seconds between batches (default 180)
 	MeanJobsPerBatch float64 // Poisson λ per batch (default 15)
-	MinMB, MaxMB     float64 // job size range (default 1..300)
-	// BiasFraction is the probability a biased bucket draws from its
-	// favoured third of the size range instead of the full range
-	// (default 0.6). The result is a bias, not a point mass: the paper's
-	// buckets still span 1–300 MB.
-	BiasFraction  float64
-	OutputRatioLo float64 // output/input size ratio range (default 0.3..0.8)
-	OutputRatioHi float64
-	NoiseCV       float64 // processing-time noise CV (default 0.12)
-	Seed          int64
-	FirstBatchAt  float64 // arrival time of batch 0 (default 0)
+	NoiseCV          float64 // processing-time noise CV (default 0.12)
+	Seed             int64
 }
 
 func (c Config) withDefaults() Config {
@@ -75,23 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.MeanJobsPerBatch == 0 {
 		c.MeanJobsPerBatch = 15
 	}
-	if c.MinMB == 0 {
-		c.MinMB = 1
-	}
-	if c.MaxMB == 0 {
-		c.MaxMB = 300
-	}
-	if c.BiasFraction == 0 {
-		c.BiasFraction = 0.6
-	}
-	if c.OutputRatioLo == 0 {
-		c.OutputRatioLo = 0.3
-	}
-	if c.OutputRatioHi == 0 {
-		c.OutputRatioHi = 0.8
-	}
 	if c.NoiseCV == 0 {
-		c.NoiseCV = 0.12
+		c.NoiseCV = defaultNoiseCV
 	}
 	return c
 }
@@ -102,14 +89,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("workload: negative batch count %d", c.Batches)
 	case c.BatchInterval < 0:
 		return fmt.Errorf("workload: negative batch interval %v", c.BatchInterval)
-	case c.MinMB <= 0 || c.MaxMB < c.MinMB:
-		return fmt.Errorf("workload: bad size range [%v,%v]", c.MinMB, c.MaxMB)
-	case c.OutputRatioLo <= 0 || c.OutputRatioHi < c.OutputRatioLo:
-		return fmt.Errorf("workload: bad output ratio range [%v,%v]", c.OutputRatioLo, c.OutputRatioHi)
 	case c.NoiseCV < 0:
 		return fmt.Errorf("workload: negative noise CV %v", c.NoiseCV)
-	case c.BiasFraction < 0 || c.BiasFraction > 1:
-		return fmt.Errorf("workload: bias fraction %v out of [0,1]", c.BiasFraction)
 	}
 	return nil
 }
@@ -145,30 +126,26 @@ func MustNewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the effective (defaulted) configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
-// Truth exposes the ground-truth processing-time model (for experiment
-// harnesses that need oracle comparisons; schedulers must not touch it).
-func (g *Generator) Truth() *TruthModel { return g.truth }
-
 // drawSizeMB samples a job input size according to the bucket: uniform
 // over the full range, or — for the biased buckets — from the favoured
-// third of the range with probability BiasFraction and from the full range
-// otherwise.
-func drawSizeMB(rng *stats.RNG, cfg Config) float64 {
-	third := (cfg.MaxMB - cfg.MinMB) / 3
-	switch cfg.Bucket {
+// third of the range with probability biasFraction and from the full range
+// otherwise. The bounds are float64 variables, not constants: a constant
+// expression such as maxMB-(maxMB-minMB)/3 would round once where the
+// float64 arithmetic rounds twice.
+func drawSizeMB(rng *stats.RNG, bucket Bucket) float64 {
+	lo, hi := float64(minMB), float64(maxMB)
+	third := (hi - lo) / 3
+	switch bucket {
 	case SmallBias:
-		if rng.Float64() < cfg.BiasFraction {
-			return rng.Uniform(cfg.MinMB, cfg.MinMB+third)
+		if rng.Float64() < biasFraction {
+			return rng.Uniform(lo, lo+third)
 		}
 	case LargeBias:
-		if rng.Float64() < cfg.BiasFraction {
-			return rng.Uniform(cfg.MaxMB-third, cfg.MaxMB)
+		if rng.Float64() < biasFraction {
+			return rng.Uniform(hi-third, hi)
 		}
 	}
-	return rng.Uniform(cfg.MinMB, cfg.MaxMB)
+	return rng.Uniform(lo, hi)
 }
 
 // SynthFeatures builds a correlated document feature vector for a job of
@@ -196,59 +173,82 @@ func SynthFeatures(rng *stats.RNG, sizeMB float64) job.Features {
 	}
 }
 
-// genStreams are Generate's random streams: a root seeded from the config
-// and four children forked from it in field order.
-type genStreams struct {
-	root, size, feat, noise, count stats.RNG
+// synth is the one job synthesizer behind both arrival processes: a
+// Generator's finite workload and a Stream's endless one draw every job
+// through batch, over four streams forked from the seed in field order.
+type synth struct {
+	bucket                   Bucket
+	truth                    *TruthModel
+	size, feat, noise, count stats.RNG
 }
 
-// genStreamPool recycles Generate's streams. They never escape a call, and
-// Reset and ForkInto overwrite a stream's whole state, so a recycled set
-// draws exactly what a freshly allocated one would.
-var genStreamPool = sync.Pool{New: func() any { return new(genStreams) }}
+// fork seeds the four streams from root, in field order.
+func (s *synth) fork(root *stats.RNG) {
+	root.ForkInto(&s.size)
+	root.ForkInto(&s.feat)
+	root.ForkInto(&s.noise)
+	root.ForkInto(&s.count)
+}
+
+// batch synthesizes batch index arriving at: a Poisson(lambda) job count,
+// raised to minJobs when the draw falls short, then each job's size,
+// features, output ratio and processing time, with IDs from ids.
+func (s *synth) batch(index int, at, lambda float64, minJobs int, ids job.IDAllocator) Batch {
+	n := max(s.count.Poisson(lambda), minJobs)
+	jobs := make([]*job.Job, 0, n)
+	for k := 0; k < n; k++ {
+		sizeMB := drawSizeMB(&s.size, s.bucket)
+		f := SynthFeatures(&s.feat, sizeMB)
+		outRatio := s.feat.Uniform(outputRatioLo, outputRatioHi)
+		j := &job.Job{
+			ID:           ids.NextID(),
+			ParentID:     -1,
+			BatchID:      index,
+			ArrivalTime:  at,
+			InputSize:    job.Bytes(sizeMB),
+			OutputSize:   job.Bytes(sizeMB * outRatio),
+			Features:     f,
+			TrueProcTime: s.truth.Sample(&s.noise, f),
+		}
+		if err := j.Validate(); err != nil {
+			panic(fmt.Sprintf("workload: generated invalid job: %v", err))
+		}
+		jobs = append(jobs, j)
+	}
+	return Batch{Index: index, At: at, Jobs: jobs}
+}
+
+// genState is one Generate call's working set: the root stream seeded from
+// the config, the synthesizer whose streams fork from it, and the job-ID
+// counter.
+type genState struct {
+	root stats.RNG
+	synth
+	ids job.Counter
+}
+
+// genStatePool recycles Generate's working sets. They never escape a call,
+// and Reset and ForkInto overwrite a stream's whole state, so a recycled
+// set draws exactly what a freshly allocated one would.
+var genStatePool = sync.Pool{New: func() any { return new(genState) }}
 
 // Generate produces the full batch sequence with globally increasing job
-// IDs in arrival order, starting at 0. Calling it twice yields the same
-// workload. It is safe to call concurrently.
+// IDs in arrival order, starting at 0. It is the steady case of a Stream:
+// the same draws at the constant rate MeanJobsPerBatch, except that an
+// empty batch carries no signal, so a draw of zero jobs yields one. Calling
+// it twice yields the same workload. It is safe to call concurrently.
 func (g *Generator) Generate() []Batch {
-	st := genStreamPool.Get().(*genStreams)
-	defer genStreamPool.Put(st)
+	st := genStatePool.Get().(*genState)
+	defer genStatePool.Put(st)
 	st.root.Reset(g.cfg.Seed)
-	sizeRNG, featRNG, noiseRNG, countRNG := &st.size, &st.feat, &st.noise, &st.count
-	st.root.ForkInto(sizeRNG)
-	st.root.ForkInto(featRNG)
-	st.root.ForkInto(noiseRNG)
-	st.root.ForkInto(countRNG)
+	st.bucket, st.truth = g.cfg.Bucket, g.truth
+	st.fork(&st.root)
+	st.ids = job.Counter{}
 
-	ids := job.NewCounter(0)
 	batches := make([]Batch, 0, g.cfg.Batches)
 	for b := 0; b < g.cfg.Batches; b++ {
-		at := g.cfg.FirstBatchAt + float64(b)*g.cfg.BatchInterval
-		n := countRNG.Poisson(g.cfg.MeanJobsPerBatch)
-		if n == 0 {
-			n = 1 // an empty batch carries no signal; keep at least one job
-		}
-		jobs := make([]*job.Job, 0, n)
-		for k := 0; k < n; k++ {
-			sizeMB := drawSizeMB(sizeRNG, g.cfg)
-			f := SynthFeatures(featRNG, sizeMB)
-			outRatio := featRNG.Uniform(g.cfg.OutputRatioLo, g.cfg.OutputRatioHi)
-			j := &job.Job{
-				ID:           ids.NextID(),
-				ParentID:     -1,
-				BatchID:      b,
-				ArrivalTime:  at,
-				InputSize:    job.Bytes(sizeMB),
-				OutputSize:   job.Bytes(sizeMB * outRatio),
-				Features:     f,
-				TrueProcTime: g.truth.Sample(noiseRNG, f),
-			}
-			if err := j.Validate(); err != nil {
-				panic(fmt.Sprintf("workload: generated invalid job: %v", err))
-			}
-			jobs = append(jobs, j)
-		}
-		batches = append(batches, Batch{Index: b, At: at, Jobs: jobs})
+		at := float64(b) * g.cfg.BatchInterval
+		batches = append(batches, st.batch(b, at, g.cfg.MeanJobsPerBatch, 1, &st.ids))
 	}
 	return batches
 }

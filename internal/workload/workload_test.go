@@ -11,13 +11,23 @@ import (
 )
 
 func TestGeneratorDefaults(t *testing.T) {
-	g := MustNewGenerator(Config{Seed: 1})
-	cfg := g.Config()
-	if cfg.Batches != 6 || cfg.BatchInterval != 180 || cfg.MeanJobsPerBatch != 15 {
-		t.Fatalf("defaults wrong: %+v", cfg)
+	batches := MustNewGenerator(Config{Seed: 1}).Generate()
+	if len(batches) != 6 {
+		t.Fatalf("batches = %d, want 6", len(batches))
 	}
-	if cfg.MinMB != 1 || cfg.MaxMB != 300 {
-		t.Fatalf("size defaults wrong: %+v", cfg)
+	for i, b := range batches {
+		if b.At != float64(i)*180 {
+			t.Fatalf("batch %d at %v, want %v", i, b.At, float64(i)*180)
+		}
+		for _, j := range b.Jobs {
+			mb := j.Features.SizeMB
+			if mb < 1 || mb > 300 {
+				t.Fatalf("job %d size %v MB outside 1..300", j.ID, mb)
+			}
+			if r := float64(j.OutputSize) / float64(j.InputSize); r < 0.29 || r > 0.81 {
+				t.Fatalf("job %d output ratio %v outside 0.3..0.8", j.ID, r)
+			}
+		}
 	}
 }
 
@@ -25,14 +35,38 @@ func TestGeneratorValidation(t *testing.T) {
 	bad := []Config{
 		{Batches: -1},
 		{BatchInterval: -5},
-		{MinMB: 10, MaxMB: 5},
-		{MinMB: -1, MaxMB: 300},
-		{OutputRatioLo: 0.5, OutputRatioHi: 0.2},
 		{NoiseCV: -0.1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Fatalf("config %d passed validation: %+v", i, cfg)
+		}
+	}
+}
+
+// TestGeneratorIsSteadyStream pins the finite workload as the steady case
+// of the streaming one: a Stream at the constant rate λ draws the
+// Generator's batches job for job until its first empty batch, where the
+// Generator, which never yields an empty batch, draws exactly one job.
+func TestGeneratorIsSteadyStream(t *testing.T) {
+	const lambda = 6
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, bucket := range Buckets() {
+			gen := MustNewGenerator(Config{Bucket: bucket, Batches: 20, MeanJobsPerBatch: lambda, Seed: seed}).Generate()
+			s := MustNewStream(StreamConfig{Bucket: bucket, Seed: seed, Rate: func(float64) float64 { return lambda }})
+			ids := job.NewCounter(0)
+			for i, want := range gen {
+				got, _ := s.NextBatch(ids)
+				if len(got.Jobs) == 0 {
+					if len(want.Jobs) != 1 {
+						t.Fatalf("seed %d %v: batch %d holds %d jobs where the stream's is empty, want 1", seed, bucket, i, len(want.Jobs))
+					}
+					break
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %v: batch %d differs:\nstream    %+v\ngenerator %+v", seed, bucket, i, got, want)
+				}
+			}
 		}
 	}
 }
@@ -323,13 +357,5 @@ func TestDiurnalDemand(t *testing.T) {
 	}
 	if DiurnalDemand(10, 7*3600) != 10 { // shoulder
 		t.Fatalf("7am demand = %v", DiurnalDemand(10, 7*3600))
-	}
-}
-
-func TestFirstBatchAtOffset(t *testing.T) {
-	g := MustNewGenerator(Config{Seed: 1, Batches: 2, FirstBatchAt: 1000})
-	batches := g.Generate()
-	if batches[0].At != 1000 || batches[1].At != 1180 {
-		t.Fatalf("batch times = %v, %v", batches[0].At, batches[1].At)
 	}
 }
