@@ -1,6 +1,7 @@
 package cloudburst
 
 import (
+	"math"
 	"testing"
 )
 
@@ -95,4 +96,177 @@ func countEvents(evs []TraceEvent, match func(TraceEvent) bool) int {
 		}
 	}
 	return n
+}
+
+// TestCompositionCost crosses cost with a budget with every other feature
+// axis through the public API. Each row must run verified with an audit
+// whose cost replay matches the report and leaves no rental open, serve
+// split by a checkpoint to the fingerprint and rental accrual of the
+// unsplit serve, and fire the rental-ledger path it names in the run.
+func TestCompositionCost(t *testing.T) {
+	const d1, d2 = 1700, 1900
+	rows := []struct {
+		name string
+		set  func(o *Options)
+		// exercised reports whether the row's ledger path fired, from the
+		// run's report and its rental ledger.
+		exercised func(r *Report, l rentalLedger) bool
+	}{
+		{"plain", func(o *Options) {},
+			func(_ *Report, l rentalLedger) bool { return len(l.early) == 0 && l.closed == l.started }},
+		{"revocation", func(o *Options) {
+			o.Faults = &FaultOptions{ECRevocationMTBF: 400, ECRevocationWarning: 30}
+		}, func(r *Report, l rentalLedger) bool { return r.ECRevocations > 0 && l.endedAt("MachineFailed") > 0 }},
+		{"autoscale", func(o *Options) { o.ECMachines, o.AutoscaleECMax = 1, 5 },
+			func(_ *Report, l rentalLedger) bool { return l.booted > 0 && l.endedAt("AutoscaleDrain") > 0 }},
+		{"shards", func(o *Options) { o.Shards = &ShardOptions{Count: 2} },
+			func(_ *Report, l rentalLedger) bool { return l.chargedByShard2 > 0 && l.closed == l.started }},
+		{"resched-sibs", func(o *Options) {
+			// Budget 2 runs out before any steal-back; 4 still binds.
+			o.Rescheduling, o.Scheduler, o.Cost.Budget = true, SIBS, 4
+		}, func(_ *Report, l rentalLedger) bool { return l.chargedStolenBack > 0 && l.closed == l.started }},
+		{"extra-site", func(o *Options) { o.ExtraECSites = []ECSiteSpec{{Machines: 2, OnDemandRate: 0.25}} },
+			func(r *Report, l rentalLedger) bool {
+				return r.SiteBursts[0] > 0 && l.rates["ec"] == 0.10 && l.rates["ec1"] == 0.25 && l.closed == l.started
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			o := Options{WorkloadSeed: 3, NetSeed: 3, Cost: &CostOptions{OnDemandRate: 0.10, Budget: 2}}
+			row.set(&o)
+
+			run := o
+			rec := NewTraceRecorder()
+			run.Trace, run.Verify, run.Audit = rec, true, true
+			r, err := Run(run)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			a, err := r.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAuditMatchesReport(t, r, a)
+			if !a.CostAudited || math.Abs(a.CostRental-r.CostRental) > 1e-9 ||
+				math.Abs(a.CostCommitted-r.CostCommitted) > 1e-9 {
+				t.Fatalf("cost replay: audit rental %v committed %v, report %v/%v",
+					a.CostRental, a.CostCommitted, r.CostRental, r.CostCommitted)
+			}
+			if a.RentalsOpen != 0 {
+				t.Fatalf("finite run left %d rentals open", a.RentalsOpen)
+			}
+			if r.BudgetDenials == 0 || r.CostCommitted > o.Cost.Budget+1e-9 {
+				t.Fatalf("budget %v: %d denials, committed %v", o.Cost.Budget, r.BudgetDenials, r.CostCommitted)
+			}
+			if l := readLedger(rec.Events()); !row.exercised(r, l) {
+				t.Fatalf("the run did not exercise %s: %+v", row.name, l)
+			}
+
+			serve := ServiceOptions{Options: o, WindowSec: 600}
+			serve.Verify = true
+			unsplit := serve
+			unsplit.DurationSec = d1 + d2
+			whole, _, _ := serveAndWait(t, nil, unsplit)
+			first := serve
+			first.DurationSec, first.CheckpointAtEnd = d1, true
+			_, _, svc := serveAndWait(t, nil, first)
+			blob, err := svc.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			second, _, _ := serveAndWait(t, nil, ServiceOptions{
+				Options: Options{Verify: true}, DurationSec: d2, Restore: blob,
+			})
+			if second.Fingerprint != whole.Fingerprint || second.TraceEvents != whole.TraceEvents {
+				t.Fatalf("split fingerprint %016x/%d, unsplit %016x/%d",
+					second.Fingerprint, second.TraceEvents, whole.Fingerprint, whole.TraceEvents)
+			}
+			if second.CostRental != whole.CostRental || whole.CostRental <= 0 {
+				t.Fatalf("split rental accrual %v, unsplit %v", second.CostRental, whole.CostRental)
+			}
+		})
+	}
+}
+
+// rentalLedger summarizes a finite run's rental events: how many rentals
+// started (and how many of those were boots after t=0), how many the
+// close-out at the last delivery ended, the events that ended the others
+// earlier, and the rate each cluster rents at. It also counts the burst
+// charges that a shard-2 placement or a later steal-back touched.
+type rentalLedger struct {
+	started, booted, closed int
+	early                   []string // type of the event each early rental end coincides with
+	rates                   map[string]float64
+	chargedByShard2         int
+	chargedStolenBack       int
+}
+
+func (l rentalLedger) endedAt(cause string) int {
+	n := 0
+	for _, c := range l.early {
+		if c == cause {
+			n++
+		}
+	}
+	return n
+}
+
+func readLedger(evs []TraceEvent) rentalLedger {
+	l := rentalLedger{rates: map[string]float64{}}
+	end := 0.0
+	type machine struct {
+		cluster string
+		id      int
+	}
+	leaves := map[machine]TraceEvent{} // drain or fatal failure per machine
+	shard2, stolen, charged := map[int]bool{}, map[int]bool{}, map[int]bool{}
+	for _, ev := range evs {
+		switch ev.Type.String() {
+		case "JobDelivered":
+			end = math.Max(end, ev.T)
+		case "AutoscaleDrain":
+			leaves[machine{ev.Cluster, ev.Machine}] = ev
+		case "MachineFailed":
+			if ev.Fatal {
+				leaves[machine{ev.Cluster, ev.Machine}] = ev
+			}
+		case "PlacementDecided":
+			if ev.Shard == 2 && ev.Where == "EC" {
+				shard2[ev.JobID] = true
+			}
+		case "Rescheduled":
+			if ev.From == "EC" {
+				stolen[ev.JobID] = true
+			}
+		case "CostAccrued":
+			charged[ev.JobID] = true
+		}
+	}
+	for _, ev := range evs {
+		switch ev.Type.String() {
+		case "RentalStarted":
+			l.started++
+			if ev.T > 0 {
+				l.booted++
+			}
+			l.rates[ev.Cluster] = ev.Rate
+		case "RentalEnded":
+			if ev.T == end {
+				l.closed++
+			} else if lv, ok := leaves[machine{ev.Cluster, ev.Machine}]; ok && lv.T == ev.T {
+				l.early = append(l.early, lv.Type.String())
+			} else {
+				l.early = append(l.early, "unexplained")
+			}
+		}
+	}
+	for id := range charged {
+		if shard2[id] {
+			l.chargedByShard2++
+		}
+		if stolen[id] {
+			l.chargedStolenBack++
+		}
+	}
+	return l
 }

@@ -93,6 +93,57 @@ func TestAuditReplaysCostToTolerance(t *testing.T) {
 	}
 }
 
+// TestRentalCloseOutOrder pins the order in which a finite run bills the
+// rentals still open at its end: by cluster name, then machine ID, so
+// "ec10" bills before "ec2". Each RentalEnded carries the rental total
+// after its own bill, so the totals must be the running sum in that order.
+func TestRentalCloseOutOrder(t *testing.T) {
+	sites := make([]ECSiteSpec, 11)
+	for i := range sites {
+		sites[i] = ECSiteSpec{Machines: 2, OnDemandRate: 0.05 + 0.01*float64(i)}
+	}
+	rec := NewTraceRecorder()
+	r, err := Run(Options{Batches: 3, ExtraECSites: sites, Cost: &CostOptions{OnDemandRate: 0.10}, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := 0
+	var ended []TraceEvent
+	for _, ev := range rec.Events() {
+		switch ev.Type.String() {
+		case "RentalStarted":
+			started++
+		case "RentalEnded":
+			ended = append(ended, ev)
+		}
+	}
+	if started != 2+11*2 || len(ended) != started {
+		t.Fatalf("%d rentals started, %d ended; want 24 each", started, len(ended))
+	}
+	total := 0.0
+	for i, ev := range ended {
+		if ev.T != ended[len(ended)-1].T {
+			t.Fatalf("rental %s/%d ended at %v, before the close-out", ev.Cluster, ev.Machine, ev.T)
+		}
+		if i > 0 {
+			prev := ended[i-1]
+			if prev.Cluster > ev.Cluster || prev.Cluster == ev.Cluster && prev.Machine >= ev.Machine {
+				t.Fatalf("close-out billed %s/%d after %s/%d", ev.Cluster, ev.Machine, prev.Cluster, prev.Machine)
+			}
+		}
+		total += ev.Amount
+		if ev.Total != total {
+			t.Fatalf("bill %d (%s/%d) carries total %v, running sum %v", i, ev.Cluster, ev.Machine, ev.Total, total)
+		}
+	}
+	if ended[4].Cluster != "ec10" || ended[len(ended)-1].Cluster != "ec9" {
+		t.Fatalf("close-out order %s ... %s, want ec10 fifth and ec9 last", ended[4].Cluster, ended[len(ended)-1].Cluster)
+	}
+	if total != r.CostRental {
+		t.Fatalf("close-out total %v, report %v", total, r.CostRental)
+	}
+}
+
 // TestBudgetNeverExceeded is the admission-gate property: under every
 // scheduler and a range of budgets, committed spend stays within budget,
 // the run still delivers every job, and the invariant checker stays quiet.

@@ -1,6 +1,9 @@
-// Package cluster models the compute side of both clouds: a set of machines
-// with relative speed factors pulling tasks from a FCFS queue, with
-// busy-time accounting for the utilization SLA.
+// Package cluster models the compute side of both clouds: a set of
+// standard-speed machines pulling tasks from a FCFS queue, with busy-time
+// accounting for the utilization SLA. Each machine records when it joined
+// the fleet and when it retired; those records are the one rental ledger —
+// machine-seconds, rented utilization and the external cloud's rental bill
+// all read them.
 package cluster
 
 import (
@@ -14,17 +17,16 @@ import (
 // Machine is one execution slot (a printer controller VM in the IC, an EMR
 // instance in the EC).
 type Machine struct {
-	ID    int
-	Speed float64 // work units per second relative to a standard machine
+	ID int
 
 	busyTime    float64 // accumulated busy seconds (completed work)
 	runningFrom float64 // start of the current task, valid when running
 	running     *Task
 
-	// Elastic-fleet state.
+	// Rental record: the machine joined the fleet at addedAt and left it
+	// at retiredAt (-1 while active).
 	addedAt   float64
-	retiredAt float64 // -1 while active
-	draining  bool
+	retiredAt float64
 
 	// Fault state. failed: down (crashed or revoked), takes no work.
 	// doomed: revocation warning received, takes no new work while the
@@ -40,11 +42,9 @@ type Machine struct {
 // Busy reports whether the machine is executing a task.
 func (m *Machine) Busy() bool { return m.running != nil }
 
-// Failed reports whether the machine is currently down.
-func (m *Machine) Failed() bool { return m.failed }
-
-// Doomed reports whether the machine has received a revocation warning.
-func (m *Machine) Doomed() bool { return m.doomed }
+// AddedAt returns when the machine joined the fleet — the start of its
+// rental.
+func (m *Machine) AddedAt() float64 { return m.addedAt }
 
 // BusyTime returns the seconds spent executing up to virtual time now.
 func (m *Machine) BusyTime(now float64) float64 {
@@ -73,9 +73,6 @@ type Task struct {
 	aborted bool // machine failed mid-task; the pending completion is void
 }
 
-// Running reports whether the task is currently executing.
-func (t *Task) Running() bool { return t.machine != nil && !t.done }
-
 // Done reports whether the task has completed.
 func (t *Task) Done() bool { return t.done }
 
@@ -90,7 +87,7 @@ func (t *Task) RemainingStdSeconds(now float64) float64 {
 	case t.machine == nil:
 		return t.StdSeconds
 	default:
-		executed := (now - t.StartedAt) * t.machine.Speed
+		executed := now - t.StartedAt
 		if executed >= t.StdSeconds {
 			return 0
 		}
@@ -116,7 +113,6 @@ type Cluster struct {
 	busyCount int
 
 	createdAt    float64
-	completed    int
 	peakMachines int
 	revoked      int          // machines permanently lost to fault injection
 	doneCb       sim.Callback // prebound task-completion callback
@@ -129,18 +125,15 @@ type Cluster struct {
 	OnTaskEnd   func(at float64, t *Task, m *Machine)
 }
 
-// New creates a cluster whose machines have the given speed factors.
-func New(eng *sim.Engine, name string, speeds []float64) *Cluster {
-	if len(speeds) == 0 {
+// New creates a cluster of n standard-speed machines, IDs 0..n-1.
+func New(eng *sim.Engine, name string, n int) *Cluster {
+	if n < 1 {
 		panic(fmt.Sprintf("cluster %q needs at least one machine", name))
 	}
 	c := &Cluster{Name: name, eng: eng, createdAt: eng.Now()}
 	c.doneCb = c.taskDone
-	for i, s := range speeds {
-		if s <= 0 {
-			panic(fmt.Sprintf("cluster %q machine %d speed %v must be positive", name, i, s))
-		}
-		c.machines = append(c.machines, &Machine{ID: i, Speed: s, addedAt: eng.Now(), retiredAt: -1, pos: i})
+	for i := 0; i < n; i++ {
+		c.machines = append(c.machines, &Machine{ID: i, addedAt: eng.Now(), retiredAt: -1, pos: i})
 		c.markIdle(i)
 	}
 	c.peakMachines = len(c.machines)
@@ -174,15 +167,6 @@ func (c *Cluster) rebuildIdle() {
 	}
 }
 
-// Uniform creates a cluster of n machines at the same speed.
-func Uniform(eng *sim.Engine, name string, n int, speed float64) *Cluster {
-	speeds := make([]float64, n)
-	for i := range speeds {
-		speeds[i] = speed
-	}
-	return New(eng, name, speeds)
-}
-
 // Size returns the number of machines.
 func (c *Cluster) Size() int { return len(c.machines) }
 
@@ -202,11 +186,9 @@ func (c *Cluster) ActiveSize() int {
 // injection.
 func (c *Cluster) Revoked() int { return c.revoked }
 
-// Machines returns the machine list (shared; do not mutate).
+// Machines returns the active machines in ID order (shared; do not
+// mutate): the machines whose rentals are open.
 func (c *Cluster) Machines() []*Machine { return c.machines }
-
-// Completed returns the number of tasks finished.
-func (c *Cluster) Completed() int { return c.completed }
 
 // Submit queues a task; it starts immediately if a machine is free.
 func (c *Cluster) Submit(t *Task) {
@@ -242,7 +224,7 @@ func (c *Cluster) freeMachine() *Machine {
 				return nil
 			}
 			m := c.machines[p]
-			if !m.draining && !m.failed && !m.doomed {
+			if !m.failed && !m.doomed {
 				return m
 			}
 			word &= word - 1
@@ -252,7 +234,7 @@ func (c *Cluster) freeMachine() *Machine {
 }
 
 // IdleActiveIDs appends the IDs of machines able to start work right now
-// (idle, not draining/failed/doomed) in dispatch order to buf and returns
+// (idle, not failed/doomed) in dispatch order to buf and returns
 // it. Shard coordinators snapshot this as the claimable slot list.
 func (c *Cluster) IdleActiveIDs(buf []int) []int {
 	for w, word := range c.idle {
@@ -262,7 +244,7 @@ func (c *Cluster) IdleActiveIDs(buf []int) []int {
 				return buf
 			}
 			m := c.machines[p]
-			if !m.draining && !m.failed && !m.doomed {
+			if !m.failed && !m.doomed {
 				buf = append(buf, m.ID)
 			}
 			word &= word - 1
@@ -285,8 +267,7 @@ func (c *Cluster) start(m *Machine, t *Task) {
 	if t.OnStart != nil {
 		t.OnStart(now, t, m)
 	}
-	dur := t.StdSeconds / m.Speed
-	c.eng.CallAfter(dur, c.doneCb, t)
+	c.eng.CallAfter(t.StdSeconds, c.doneCb, t)
 }
 
 // taskDone is the pooled completion callback for every task on the cluster;
@@ -304,10 +285,6 @@ func (c *Cluster) taskDone(now float64, arg any) {
 	m.busyTime += now - m.runningFrom
 	c.markIdle(m.pos)
 	c.busyCount--
-	c.completed++
-	if m.draining {
-		c.retire(m)
-	}
 	if c.OnTaskEnd != nil {
 		c.OnTaskEnd(now, t, m)
 	}
@@ -347,15 +324,6 @@ func (c *Cluster) BacklogStdSeconds() float64 {
 	return b
 }
 
-// TotalSpeed returns the sum of machine speed factors.
-func (c *Cluster) TotalSpeed() float64 {
-	var s float64
-	for _, m := range c.machines {
-		s += m.Speed
-	}
-	return s
-}
-
 // Withdraw removes a queued task so it can be scheduled elsewhere (the
 // rescheduling strategies in Sec. IV-D). Running or finished tasks cannot
 // be withdrawn; it returns false for them and for unknown tasks.
@@ -374,25 +342,10 @@ func (c *Cluster) QueuedTasks() []*Task {
 	return append([]*Task(nil), c.queue...)
 }
 
-// Utilization returns the mean machine utilization since cluster creation —
-// equations (8)/(9): total busy time divided by |M|·elapsed. When the engine
-// stops the clock at the last completion, elapsed equals the makespan and
-// this is exactly the paper's u_M(J).
-func (c *Cluster) Utilization() float64 {
-	now := c.eng.Now()
-	el := now - c.createdAt
-	if el <= 0 {
-		return 0
-	}
-	var busy float64
-	for _, m := range c.machines {
-		busy += m.BusyTime(now)
-	}
-	return busy / (el * float64(len(c.machines)))
-}
-
-// UtilizationAt computes utilization against an explicit end time (e.g. the
-// makespan end) instead of the current clock.
+// UtilizationAt returns the mean machine utilization from cluster creation
+// to end — equations (8)/(9): total busy time divided by |M|·elapsed. With
+// end at the last completion, elapsed is the makespan and this is exactly
+// the paper's u_M(J).
 func (c *Cluster) UtilizationAt(end float64) float64 {
 	el := end - c.createdAt
 	if el <= 0 {
@@ -400,8 +353,7 @@ func (c *Cluster) UtilizationAt(end float64) float64 {
 	}
 	var busy float64
 	for _, m := range c.machines {
-		b := m.BusyTime(end)
-		busy += b
+		busy += m.BusyTime(end)
 	}
 	return busy / (el * float64(len(c.machines)))
 }

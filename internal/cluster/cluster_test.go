@@ -9,7 +9,7 @@ import (
 
 func TestSingleMachineFCFS(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	var done []float64
 	for i := 0; i < 3; i++ {
 		c.Submit(&Task{StdSeconds: 10, OnDone: func(at float64, tk *Task, m *Machine) {
@@ -18,19 +18,19 @@ func TestSingleMachineFCFS(t *testing.T) {
 	}
 	eng.Run()
 	want := []float64{10, 20, 30}
+	if len(done) != len(want) {
+		t.Fatalf("done = %v, want %v", done, want)
+	}
 	for i := range want {
 		if math.Abs(done[i]-want[i]) > 1e-9 {
 			t.Fatalf("done = %v, want %v", done, want)
 		}
 	}
-	if c.Completed() != 3 {
-		t.Fatalf("Completed = %d", c.Completed())
-	}
 }
 
 func TestMultiMachineParallelism(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 4, 1.0)
+	c := New(eng, "ic", 4)
 	count := 0
 	for i := 0; i < 8; i++ {
 		c.Submit(&Task{StdSeconds: 10, OnDone: func(at float64, tk *Task, m *Machine) { count++ }})
@@ -44,39 +44,40 @@ func TestMultiMachineParallelism(t *testing.T) {
 	}
 }
 
-func TestSpeedFactorScalesDuration(t *testing.T) {
-	eng := sim.NewEngine()
-	c := New(eng, "ec", []float64{2.0})
-	var at float64
-	c.Submit(&Task{StdSeconds: 10, OnDone: func(a float64, tk *Task, m *Machine) { at = a }})
-	eng.Run()
-	if math.Abs(at-5) > 1e-9 {
-		t.Fatalf("2x machine should halve duration: %v", at)
-	}
-}
-
 func TestHeterogeneousMachinesFCFSOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	c := New(eng, "mix", []float64{1.0, 4.0})
+	c := New(eng, "mix", 1)
+	// Machine 1 joins at t=3 and the tasks differ in length, so the two
+	// machines free up at unrelated times.
+	eng.ScheduleCall(3, func(float64, any) { c.AddMachine() }, nil)
 	var starts []int
-	for i := 0; i < 4; i++ {
+	var at []float64
+	var on []int
+	for i, w := range []float64{8, 2, 5, 1, 4, 3} {
 		i := i
-		c.Submit(&Task{StdSeconds: 8, OnStart: func(at float64, tk *Task, m *Machine) {
+		c.Submit(&Task{StdSeconds: w, OnStart: func(a float64, tk *Task, m *Machine) {
 			starts = append(starts, i)
+			at = append(at, a)
+			on = append(on, m.ID)
 		}})
 	}
 	eng.Run()
-	// Tasks must start in submission order regardless of machine speeds.
-	for i := 1; i < len(starts); i++ {
-		if starts[i] < starts[i-1] {
-			t.Fatalf("starts out of order: %v", starts)
+	// Tasks must start in submission order whichever machine frees first.
+	wantAt := []float64{0, 3, 5, 8, 9, 10}
+	wantOn := []int{0, 1, 1, 0, 0, 1}
+	if len(starts) != len(wantAt) {
+		t.Fatalf("starts = %v, want 6", starts)
+	}
+	for i := range starts {
+		if starts[i] != i || math.Abs(at[i]-wantAt[i]) > 1e-9 || on[i] != wantOn[i] {
+			t.Fatalf("starts %v at %v on %v, want in order at %v on %v", starts, at, on, wantAt, wantOn)
 		}
 	}
 }
 
 func TestOnStartAndTimestamps(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	var startedAt, enqueuedAt float64 = -1, -1
 	t1 := &Task{StdSeconds: 5}
 	t2 := &Task{StdSeconds: 5, OnStart: func(at float64, tk *Task, m *Machine) {
@@ -93,7 +94,7 @@ func TestOnStartAndTimestamps(t *testing.T) {
 
 func TestRemainingStdSeconds(t *testing.T) {
 	eng := sim.NewEngine()
-	c := New(eng, "ec", []float64{2.0})
+	c := New(eng, "ec", 1)
 	tk := &Task{StdSeconds: 10}
 	blocker := &Task{StdSeconds: 4}
 	c.Submit(blocker)
@@ -101,8 +102,8 @@ func TestRemainingStdSeconds(t *testing.T) {
 	if tk.RemainingStdSeconds(eng.Now()) != 10 {
 		t.Fatal("queued task should report full work")
 	}
-	eng.RunUntil(3) // blocker runs [0,2]; tk started at 2, executed 1s at 2x = 2 std
-	if got := tk.RemainingStdSeconds(3); math.Abs(got-8) > 1e-9 {
+	eng.RunUntil(6) // blocker runs [0,4]; tk started at 4 and has executed 2 std-s
+	if got := tk.RemainingStdSeconds(6); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("remaining = %v, want 8", got)
 	}
 	eng.Run()
@@ -113,7 +114,7 @@ func TestRemainingStdSeconds(t *testing.T) {
 
 func TestBacklogStdSeconds(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	c.Submit(&Task{StdSeconds: 10})
 	c.Submit(&Task{StdSeconds: 7})
 	if got := c.BacklogStdSeconds(); math.Abs(got-17) > 1e-9 {
@@ -131,7 +132,7 @@ func TestBacklogStdSeconds(t *testing.T) {
 
 func TestIdleAndOnIdle(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 2, 1.0)
+	c := New(eng, "ic", 2)
 	if !c.Idle() {
 		t.Fatal("new cluster should be idle")
 	}
@@ -150,7 +151,7 @@ func TestIdleAndOnIdle(t *testing.T) {
 
 func TestWithdraw(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	running := &Task{StdSeconds: 10}
 	queued := &Task{StdSeconds: 10}
 	c.Submit(running)
@@ -164,15 +165,17 @@ func TestWithdraw(t *testing.T) {
 	if c.Withdraw(queued) {
 		t.Fatal("double withdraw should fail")
 	}
+	ran := 0
+	c.OnTaskEnd = func(float64, *Task, *Machine) { ran++ }
 	eng.Run()
-	if c.Completed() != 1 {
-		t.Fatalf("Completed = %d, want 1 (withdrawn task never ran)", c.Completed())
+	if ran != 1 || queued.Done() {
+		t.Fatalf("%d tasks ran, want 1 (withdrawn task never ran)", ran)
 	}
 }
 
 func TestQueuedTasksSnapshot(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	c.Submit(&Task{StdSeconds: 10})
 	a := &Task{StdSeconds: 1}
 	b := &Task{StdSeconds: 2}
@@ -191,14 +194,11 @@ func TestQueuedTasksSnapshot(t *testing.T) {
 
 func TestUtilizationFullAndPartial(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 2, 1.0)
+	c := New(eng, "ic", 2)
 	// Machine 0 busy [0,10], machine 1 busy [0,4]: util at t=10 = 14/20.
 	c.Submit(&Task{StdSeconds: 10})
 	c.Submit(&Task{StdSeconds: 4})
 	eng.Run()
-	if got := c.Utilization(); math.Abs(got-0.7) > 1e-9 {
-		t.Fatalf("Utilization = %v, want 0.7", got)
-	}
 	if got := c.UtilizationAt(10); math.Abs(got-0.7) > 1e-9 {
 		t.Fatalf("UtilizationAt(10) = %v, want 0.7", got)
 	}
@@ -209,10 +209,10 @@ func TestUtilizationFullAndPartial(t *testing.T) {
 
 func TestUtilizationMidRun(t *testing.T) {
 	eng := sim.NewEngine()
-	c := Uniform(eng, "ic", 1, 1.0)
+	c := New(eng, "ic", 1)
 	c.Submit(&Task{StdSeconds: 100})
 	eng.RunUntil(50)
-	if got := c.Utilization(); math.Abs(got-1.0) > 1e-9 {
+	if got := c.UtilizationAt(50); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("mid-run utilization = %v, want 1.0 (running task counts)", got)
 	}
 }
@@ -220,10 +220,9 @@ func TestUtilizationMidRun(t *testing.T) {
 func TestValidationPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, f := range []func(){
-		func() { New(eng, "x", nil) },
-		func() { New(eng, "x", []float64{0}) },
-		func() { New(eng, "x", []float64{-1}) },
-		func() { Uniform(eng, "x", 1, 1).Submit(&Task{StdSeconds: 0}) },
+		func() { New(eng, "x", 0) },
+		func() { New(eng, "x", -1) },
+		func() { New(eng, "x", 1).Submit(&Task{StdSeconds: 0}) },
 	} {
 		func() {
 			defer func() {
@@ -236,12 +235,12 @@ func TestValidationPanics(t *testing.T) {
 	}
 }
 
+// Every machine runs at standard speed, so a fleet's total speed is the
+// number of its busy machines: two running tasks work off two std-s of
+// backlog per second.
 func TestRunningTasksAndTotalSpeed(t *testing.T) {
 	eng := sim.NewEngine()
-	c := New(eng, "mix", []float64{1, 2, 3})
-	if c.TotalSpeed() != 6 {
-		t.Fatalf("TotalSpeed = %v", c.TotalSpeed())
-	}
+	c := New(eng, "ec", 3)
 	c.Submit(&Task{StdSeconds: 100})
 	c.Submit(&Task{StdSeconds: 100})
 	if c.RunningTasks() != 2 {
@@ -250,5 +249,8 @@ func TestRunningTasksAndTotalSpeed(t *testing.T) {
 	eng.RunUntil(1)
 	if c.Size() != 3 || len(c.Machines()) != 3 {
 		t.Fatal("Size/Machines wrong")
+	}
+	if got := c.BacklogStdSeconds(); math.Abs(got-198) > 1e-9 {
+		t.Fatalf("backlog after 1 s = %v, want 198", got)
 	}
 }

@@ -1,20 +1,15 @@
 package cluster
 
-import "fmt"
-
 // Elastic-cluster support: machines can be added (after a boot delay,
-// handled by the caller) and drained/retired at runtime, with rental-time
-// accounting so scaling policies can weigh cost against SLA. This realizes
-// the paper's future-work item — "the scaling (at EC) must be just enough
-// to ensure saturation of the download bandwidth".
+// handled by the caller) and idle machines retired at runtime, with
+// rental-time accounting so scaling policies can weigh cost against SLA.
+// This realizes the paper's future-work item — "the scaling (at EC) must
+// be just enough to ensure saturation of the download bandwidth".
 
 // AddMachine brings a new machine online immediately and dispatches queued
 // work to it. It returns the machine.
-func (c *Cluster) AddMachine(speed float64) *Machine {
-	if speed <= 0 {
-		panic(fmt.Sprintf("cluster %q: machine speed %v must be positive", c.Name, speed))
-	}
-	m := &Machine{ID: c.nextID(), Speed: speed, addedAt: c.eng.Now(), retiredAt: -1, pos: len(c.machines)}
+func (c *Cluster) AddMachine() *Machine {
+	m := &Machine{ID: c.nextID(), addedAt: c.eng.Now(), retiredAt: -1, pos: len(c.machines)}
 	c.machines = append(c.machines, m)
 	c.markIdle(m.pos)
 	if len(c.machines) > c.peakMachines {
@@ -28,37 +23,15 @@ func (c *Cluster) nextID() int {
 	return len(c.machines) + len(c.retired)
 }
 
-// Drain marks a machine so it takes no new work; it retires when its
-// current task (if any) completes. Draining an already-draining machine is
-// a no-op. Returns false if the machine is not active in this cluster.
-func (c *Cluster) Drain(m *Machine) bool {
-	for _, am := range c.machines {
-		if am == m {
-			m.draining = true
-			if !m.Busy() {
-				c.retire(m)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// DrainOneIdle drains (and immediately retires) one idle machine, keeping
-// at least min active. It returns true if a machine was retired.
-func (c *Cluster) DrainOneIdle(min int) bool {
-	return c.DrainIdleMachine(min) != nil
-}
-
-// DrainIdleMachine is DrainOneIdle reporting which machine retired (nil
-// when none was), so callers can account or trace the rental end.
+// DrainIdleMachine retires the lowest-ID idle machine that is up, keeping
+// at least min active, and returns it (nil when none was retired) so the
+// caller can bill or trace the rental end.
 func (c *Cluster) DrainIdleMachine(min int) *Machine {
 	if len(c.machines) <= min {
 		return nil
 	}
 	for _, m := range c.machines {
-		if !m.Busy() && !m.draining && !m.failed && !m.doomed {
-			m.draining = true
+		if !m.Busy() && !m.failed && !m.doomed {
 			c.retire(m)
 			return m
 		}

@@ -168,7 +168,7 @@ func (fi *FaultInjector) restore(now float64, arg any) {
 func (fi *FaultInjector) pick() *Machine {
 	eligible := fi.c.machines[:0:0]
 	for _, m := range fi.c.machines {
-		if !m.failed && !m.doomed && !m.draining {
+		if !m.failed && !m.doomed {
 			eligible = append(eligible, m)
 		}
 	}

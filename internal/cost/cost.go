@@ -1,8 +1,10 @@
 // Package cost is the deterministic pricing model for the external cloud:
-// per-machine rental rates with billing-interval rounding, a rental meter
-// tied to the engine's machine lifecycle (initial fleet, autoscale
-// boot/drain, fatal revocation), and a committed-spend account that backs
-// budget-gated burst admission.
+// per-machine rental rates with billing-interval rounding, a meter that
+// keeps the prices and running totals, and a committed-spend account that
+// backs budget-gated burst admission. The meter holds no per-machine
+// state: the cluster's machine records are the one rental ledger, and the
+// engine bills a machine from its join time when it leaves a fleet
+// (autoscale drain, fatal revocation) or when a finite run closes out.
 //
 // The package is dependency-free on purpose: the engine accrues cost
 // through a Meter while the SLA auditor replays the same arithmetic from
@@ -24,10 +26,7 @@
 //     fallbacks get no refund, keeping the accrual monotone.
 package cost
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DefaultBillingInterval is the billing granularity when none is set:
 // hourly, the classic IaaS quantum.
@@ -87,38 +86,22 @@ func BillSpan(start, end, interval, rate float64) float64 {
 	return n * interval * (rate / 3600)
 }
 
-// rentalKey identifies one machine rental: cluster name plus machine ID.
-type rentalKey struct {
-	cluster string
-	machine int
-}
-
-// OpenRental is one machine currently on the clock.
-type OpenRental struct {
-	Cluster string
-	Machine int
-	Start   float64
-	Rate    float64
-}
-
-// Meter is one run's cost account: open rentals, the billed rental total,
-// and the committed burst spend against the budget. It is driven
-// synchronously from the single-threaded simulation loop and needs no
-// locking.
+// Meter is one run's cost account: the prices, the billed rental total
+// and the committed burst spend against the budget. It keeps no per-machine
+// state — which machines are on the clock, and since when, is the cluster's
+// own record; the engine bills each rental through Bill when it ends. It is
+// driven synchronously from the single-threaded simulation loop and needs
+// no locking.
 type Meter struct {
 	cfg Config
 
-	open        map[rentalKey]OpenRental
 	rentalTotal float64
 	committed   float64
 }
 
 // NewMeter builds a meter.
 func NewMeter(cfg Config) *Meter {
-	return &Meter{
-		cfg:  cfg.WithDefaults(),
-		open: make(map[rentalKey]OpenRental),
-	}
+	return &Meter{cfg: cfg.WithDefaults()}
 }
 
 // Rate is the effective primary-EC rate.
@@ -130,60 +113,16 @@ func (m *Meter) Budget() float64 { return m.cfg.Budget }
 // BillingInterval returns the billing granularity in seconds.
 func (m *Meter) BillingInterval() float64 { return m.cfg.BillingInterval }
 
-// Start puts a machine on the clock at its rental rate.
-func (m *Meter) Start(cluster string, machine int, t, rate float64) {
-	m.open[rentalKey{cluster, machine}] = OpenRental{
-		Cluster: cluster, Machine: machine, Start: t, Rate: rate,
-	}
-}
-
-// End takes a machine off the clock, bills its span, and returns the
-// billed amount plus the new rental total. ok is false when no rental was
-// open for the machine (the amount is then zero and nothing is billed).
-func (m *Meter) End(cluster string, machine int, t float64) (amount, total float64, ok bool) {
-	k := rentalKey{cluster, machine}
-	r, found := m.open[k]
-	if !found {
-		return 0, m.rentalTotal, false
-	}
-	delete(m.open, k)
-	amount = BillSpan(r.Start, t, m.cfg.BillingInterval, r.Rate)
+// Bill prices one rental over [start, end] at rate, adds it to the rental
+// total, and returns the billed amount plus the new total.
+func (m *Meter) Bill(start, end, rate float64) (amount, total float64) {
+	amount = BillSpan(start, end, m.cfg.BillingInterval, rate)
 	m.rentalTotal += amount
-	return amount, m.rentalTotal, true
-}
-
-// Open lists the rentals still on the clock, sorted by cluster then
-// machine — the deterministic close-out order at run end.
-func (m *Meter) Open() []OpenRental {
-	if len(m.open) == 0 {
-		return nil
-	}
-	out := make([]OpenRental, 0, len(m.open))
-	for _, r := range m.open {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cluster != out[j].Cluster {
-			return out[i].Cluster < out[j].Cluster
-		}
-		return out[i].Machine < out[j].Machine
-	})
-	return out
+	return amount, m.rentalTotal
 }
 
 // RentalTotal is the billed total of ended rentals.
 func (m *Meter) RentalTotal() float64 { return m.rentalTotal }
-
-// AccruedAt is the rental total if every open rental were billed through
-// t — the reporting figure for runs (suspended services) that must not
-// actually close their rentals.
-func (m *Meter) AccruedAt(t float64) float64 {
-	total := m.rentalTotal
-	for _, r := range m.Open() {
-		total += BillSpan(r.Start, t, m.cfg.BillingInterval, r.Rate)
-	}
-	return total
-}
 
 // Charge quotes the committed cost of bursting a job with the given
 // standardized processing estimate: its projected EC occupancy on a

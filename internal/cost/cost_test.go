@@ -52,47 +52,21 @@ func TestMeterRentalLifecycle(t *testing.T) {
 	if m.BillingInterval() != DefaultBillingInterval {
 		t.Fatalf("billing interval = %g", m.BillingInterval())
 	}
-	m.Start("ec", 0, 0, 0.10)
-	m.Start("ec", 1, 100, 0.10)
-
-	// Ending an unknown machine bills nothing.
-	if amount, total, ok := m.End("ec", 7, 500); ok || amount != 0 || total != 0 {
-		t.Fatalf("phantom end: amount=%g total=%g ok=%v", amount, total, ok)
+	// A rental is billed once, when it ends, from its start and rate; the
+	// meter only keeps the running total.
+	amount, total := m.Bill(0, 3600, 0.10)
+	if amount != 0.10 || total != 0.10 {
+		t.Fatalf("first bill: amount=%g total=%g", amount, total)
 	}
-
-	amount, total, ok := m.End("ec", 0, 3600)
-	if !ok || amount != 0.10 || total != 0.10 {
-		t.Fatalf("first end: amount=%g total=%g ok=%v", amount, total, ok)
+	amount, total = m.Bill(100, 3700, 0.30) // one interval at its own rate
+	if math.Abs(amount-0.30) > 1e-12 || math.Abs(total-0.40) > 1e-12 {
+		t.Fatalf("second bill: amount=%g total=%g", amount, total)
 	}
-	// Double end is a no-op.
-	if _, _, ok := m.End("ec", 0, 4000); ok {
-		t.Fatal("double end billed")
+	if m.RentalTotal() != total {
+		t.Fatalf("rental total = %g, want %g", m.RentalTotal(), total)
 	}
-
-	// AccruedAt prices open rentals without closing them.
-	acc := m.AccruedAt(3700) // machine 1 open since t=100: one interval
-	if want := 0.10 + 0.10; math.Abs(acc-want) > 1e-12 {
-		t.Fatalf("AccruedAt = %.12f, want %.12f", acc, want)
-	}
-	if open := m.Open(); len(open) != 1 || open[0].Machine != 1 {
-		t.Fatalf("open rentals = %+v", open)
-	}
-	if m.RentalTotal() != 0.10 {
-		t.Fatalf("rental total = %g", m.RentalTotal())
-	}
-}
-
-func TestMeterOpenOrderDeterministic(t *testing.T) {
-	m := NewMeter(Config{OnDemandRate: 0.10})
-	m.Start("ec2", 1, 0, 0.10)
-	m.Start("ec", 3, 0, 0.10)
-	m.Start("ec", 1, 0, 0.10)
-	open := m.Open()
-	if len(open) != 3 ||
-		open[0].Cluster != "ec" || open[0].Machine != 1 ||
-		open[1].Cluster != "ec" || open[1].Machine != 3 ||
-		open[2].Cluster != "ec2" {
-		t.Fatalf("close-out order = %+v", open)
+	if m.Committed() != 0 {
+		t.Fatal("billing a rental committed burst spend")
 	}
 }
 

@@ -75,16 +75,14 @@ func startAutoscaler(e *Engine, cfg AutoscaleConfig) (*autoscaler, error) {
 func (a *autoscaler) bootDone(now float64, _ any) {
 	e := a.e
 	a.pendingBoots--
-	m := e.ec.AddMachine(machineSpeed)
+	m := e.ec.AddMachine()
 	if e.wants(trace.AutoscaleBoot) {
 		e.tracer.Emit(trace.Event{
 			Type: trace.AutoscaleBoot, T: now,
 			Cluster: e.ec.Name, Machine: m.ID, Fleet: e.ec.Size(),
 		})
 	}
-	if e.meter != nil {
-		e.rentalStart(e.ec.Name, m.ID, now, e.meter.Rate())
-	}
+	e.rentalStarted(e.sites[0], m)
 }
 
 // tick evaluates demand and scales. Demand is the expected queueing wait
@@ -116,7 +114,7 @@ func (a *autoscaler) tick() {
 					Cluster: e.ec.Name, Machine: m.ID, Fleet: e.ec.Size(),
 				})
 			}
-			e.rentalEnd(e.ec.Name, m.ID, e.eng.Now())
+			e.rentalEnded(e.sites[0], m, e.eng.Now())
 		}
 	}
 }

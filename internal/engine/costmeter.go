@@ -1,69 +1,58 @@
 package engine
 
 import (
+	"sort"
+
+	"cloudburst/internal/cluster"
 	"cloudburst/internal/cost"
 	"cloudburst/internal/trace"
 )
 
 // Cost metering hooks. The meter exists only when Config.Cost is set; all
 // hooks below are no-ops otherwise, so unpriced runs stay bit-identical.
-// Rental lifecycle: startMetering puts the initial fleets on the clock,
-// autoscale boots/drains and fatal revocations move machines on and off,
-// and resultFrom closes whatever is still open at run end (finite runs
-// only — a suspended service's continuation still owns its rentals).
+// The rental ledger is the sites' clusters: a machine rents from its
+// AddedAt at its site's rate until it leaves the fleet. startMetering and
+// autoscale boots announce rentals; a machine is billed where it leaves a
+// fleet (an autoscale drain, a permanent revocation) and, on finite runs,
+// by the close-out walk in fillCostResult. A suspended service's
+// continuation still owns its rentals, so a streaming result only prices
+// the same walk.
 
-// startMetering opens the rental clock on every machine of each site's
-// initial fleet (machine IDs 0..n-1 by construction of cluster.Uniform).
-// The primary EC is billed at the meter's rate; every other site at its
-// own on-demand override, else the on-demand rate — remote sites are never
-// spot, the revocation fault model applies only to the primary EC. Called
-// right after emitRunConfigured so RentalStarted events follow the stream
-// opener.
+// startMetering announces the rental of every machine of each site's
+// initial fleet. Called right after emitRunConfigured so RentalStarted
+// events follow the stream opener.
 func (e *Engine) startMetering() {
 	if e.meter == nil {
 		return
 	}
-	now := e.eng.Now()
-	for k, s := range e.sites {
-		rate := e.meter.Rate()
-		if k > 0 {
-			rate = e.cfg.Cost.OnDemandRate
-			if r := e.cfg.RemoteSites[k-1].OnDemandRate; r > 0 {
-				rate = r
-			}
-		}
-		for id := 0; id < s.cluster.Size(); id++ {
-			e.rentalStart(s.cluster.Name, id, now, rate)
+	for _, s := range e.sites {
+		for _, m := range s.cluster.Machines() {
+			e.rentalStarted(s, m)
 		}
 	}
 }
 
-// rentalStart puts one machine on the clock and emits RentalStarted.
-func (e *Engine) rentalStart(cluster string, machine int, t, rate float64) {
-	e.meter.Start(cluster, machine, t, rate)
-	if e.wants(trace.RentalStarted) {
+// rentalStarted emits RentalStarted for a machine that joined site s.
+func (e *Engine) rentalStarted(s *ecSite, m *cluster.Machine) {
+	if e.meter != nil && e.wants(trace.RentalStarted) {
 		e.tracer.Emit(trace.Event{
-			Type: trace.RentalStarted, T: t,
-			Cluster: cluster, Machine: machine, Rate: rate,
+			Type: trace.RentalStarted, T: m.AddedAt(),
+			Cluster: s.cluster.Name, Machine: m.ID, Rate: s.rate,
 		})
 	}
 }
 
-// rentalEnd bills one machine's span and emits RentalEnded. A machine
-// with no open rental (cost armed mid-abstraction, double drain) is
-// ignored rather than billed.
-func (e *Engine) rentalEnd(cluster string, machine int, t float64) {
+// rentalEnded bills machine m of site s from its join time through t and
+// emits RentalEnded.
+func (e *Engine) rentalEnded(s *ecSite, m *cluster.Machine, t float64) {
 	if e.meter == nil {
 		return
 	}
-	amount, total, ok := e.meter.End(cluster, machine, t)
-	if !ok {
-		return
-	}
+	amount, total := e.meter.Bill(m.AddedAt(), t, s.rate)
 	if e.wants(trace.RentalEnded) {
 		e.tracer.Emit(trace.Event{
 			Type: trace.RentalEnded, T: t,
-			Cluster: cluster, Machine: machine,
+			Cluster: s.cluster.Name, Machine: m.ID,
 			Amount: amount, Total: total,
 		})
 	}
@@ -89,28 +78,31 @@ func (e *Engine) commitBurst(js *jobState, estStd, t float64) {
 	}
 }
 
-// closeRentals bills every rental still open through end, in
-// deterministic (cluster, machine) order.
-func (e *Engine) closeRentals(end float64) {
-	for _, r := range e.meter.Open() {
-		e.rentalEnd(r.Cluster, r.Machine, end)
-	}
-}
-
-// fillCostResult copies the meter's accounts into the result, closing
-// open rentals on finite runs. Streaming runs only report the accrual —
-// their rentals stay open for the continuation (a suspended checkpoint
-// must not emit close-out events its restored twin cannot replay).
+// fillCostResult copies the meter's accounts into the result. It walks the
+// open rentals — every active machine of every site — in (cluster name,
+// machine ID) order: a finite run bills each through end, a streaming run
+// only adds up what they would cost (a suspended checkpoint must not emit
+// close-out events its restored twin cannot replay).
 func (e *Engine) fillCostResult(r *Result, end float64) {
 	if e.meter == nil {
 		return
 	}
-	if e.streaming {
-		r.CostRental = e.meter.AccruedAt(end)
-	} else {
-		e.closeRentals(end)
-		r.CostRental = e.meter.RentalTotal()
+	sites := append([]*ecSite(nil), e.sites...)
+	sort.Slice(sites, func(i, j int) bool { return sites[i].cluster.Name < sites[j].cluster.Name })
+	accrued := e.meter.RentalTotal()
+	for _, s := range sites {
+		for _, m := range s.cluster.Machines() {
+			if e.streaming {
+				accrued += cost.BillSpan(m.AddedAt(), end, e.meter.BillingInterval(), s.rate)
+			} else {
+				e.rentalEnded(s, m, end)
+			}
+		}
 	}
+	if !e.streaming {
+		accrued = e.meter.RentalTotal()
+	}
+	r.CostRental = accrued
 	r.CostCommitted = e.meter.Committed()
 	r.CostBudget = e.meter.Budget()
 }

@@ -178,7 +178,7 @@ func (e *Engine) onECFail(at float64, m *cluster.Machine, aborted *cluster.Task,
 	if permanent {
 		// A revoked machine leaves the rental clock; the provider bills the
 		// started interval regardless (BillSpan rounds the cut-short span up).
-		e.rentalEnd(e.ec.Name, m.ID, at)
+		e.rentalEnded(e.sites[0], m, at)
 	}
 	if js != nil {
 		e.recoverECJob(js, at, phaseCompute)

@@ -142,7 +142,7 @@ func (e *Engine) emitRunConfigured() {
 // build wires the substrates: the IC, then the external clouds.
 func (e *Engine) build() {
 	cfg := e.cfg
-	e.ic = cluster.Uniform(e.eng, "ic", cfg.ICMachines, machineSpeed)
+	e.ic = cluster.New(e.eng, "ic", cfg.ICMachines)
 	e.attachClusterTrace(e.ic)
 	e.buildSites()
 	e.ec = e.sites[0].cluster
@@ -302,7 +302,7 @@ func (e *Engine) submitIC(js *jobState) {
 		StdSeconds: js.j.TrueProcTime,
 		OnDone: func(at float64, t *cluster.Task, m *cluster.Machine) {
 			js.icTask = nil
-			e.observeProc(js.j, at-t.StartedAt, m.Speed)
+			e.observeProc(js.j, at-t.StartedAt)
 			e.complete(js, at, sla.IC)
 		},
 	}
@@ -310,13 +310,13 @@ func (e *Engine) submitIC(js *jobState) {
 	e.ic.Submit(t)
 }
 
-// observeProc feeds the QRSM with the measured processing time normalized
-// to a standard machine.
-func (e *Engine) observeProc(j *job.Job, wallSeconds, speed float64) {
-	if wallSeconds <= 0 || speed <= 0 {
+// observeProc feeds the QRSM with the measured processing time; every
+// machine runs at standard speed, so wall time is standard time.
+func (e *Engine) observeProc(j *job.Job, wallSeconds float64) {
+	if wallSeconds <= 0 {
 		return
 	}
-	e.estimator.Observe(j.Features, wallSeconds*speed)
+	e.estimator.Observe(j.Features, wallSeconds)
 }
 
 // maxThreadLimit returns the highest per-transfer bandwidth the thread

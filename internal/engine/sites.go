@@ -41,6 +41,8 @@ type ecSite struct {
 	downTuner *netsim.Tuner
 	prober    *netsim.Prober
 	bursts    int
+	// rate is the rental price of the site's machines in $/machine-hour.
+	rate float64
 	// upName and downName are the site's transfer queues as the trace
 	// names them: "upload"/"download", with k appended for site k.
 	upName, downName string
@@ -64,6 +66,9 @@ func (e *Engine) buildSites() {
 		Machines: cfg.ECMachines, JitterCV: cfg.JitterCV,
 		UploadProfile: cfg.UploadProfile, DownloadProfile: cfg.DownloadProfile,
 	}
+	if cfg.Cost != nil {
+		primary.OnDemandRate = cfg.Cost.Rate()
+	}
 	e.sites = append(e.sites, e.buildSite(primary, upRNG, downRNG))
 	for _, rc := range cfg.RemoteSites {
 		if rc.Machines == 0 {
@@ -77,6 +82,9 @@ func (e *Engine) buildSites() {
 		}
 		if rc.JitterCV == 0 {
 			rc.JitterCV = cfg.JitterCV
+		}
+		if rc.OnDemandRate <= 0 && cfg.Cost != nil {
+			rc.OnDemandRate = cfg.Cost.OnDemandRate
 		}
 		up := netRNG.Fork()
 		down := netRNG.Fork()
@@ -97,7 +105,8 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 	}
 	uplinkName, downlinkName := "uplink"+suffix, "downlink"+suffix
 	s := &ecSite{
-		cluster:   cluster.Uniform(e.eng, "ec"+suffix, rc.Machines, machineSpeed),
+		cluster:   cluster.New(e.eng, "ec"+suffix, rc.Machines),
+		rate:      rc.OnDemandRate,
 		upPred:    netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
 		downPred:  netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
 		upTuner:   netsim.NewTuner(cfg.ThreadModel, 8),
@@ -267,7 +276,7 @@ func (e *Engine) submitEC(js *jobState) {
 		Job:        js.j,
 		StdSeconds: js.j.TrueProcTime,
 		OnDone: func(at float64, t *cluster.Task, m *cluster.Machine) {
-			e.observeProc(js.j, at-t.StartedAt, m.Speed)
+			e.observeProc(js.j, at-t.StartedAt)
 			e.submitDownload(js, at)
 		},
 	})

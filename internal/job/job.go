@@ -81,14 +81,6 @@ func (f Features) Vector() []float64 {
 	}
 }
 
-// FeatureNames returns labels matching Vector's order.
-func FeatureNames() []string {
-	return []string{
-		"size_mb", "pages", "images", "avg_image_mb", "images_per_page",
-		"resolution_dpi", "color_fraction", "text_ratio", "coverage",
-	}
-}
-
 // Job is one document-processing job. IDs are assigned in arrival order and
 // define the FCFS/result-queue ordering that the OO metric scores against.
 type Job struct {

@@ -100,12 +100,7 @@ type Link struct {
 	changeCb       sim.Callback // prebound state-change callback
 	sortScratch    []*Transfer  // reused by waterFill
 	lastAdvance    float64
-
-	// accounting
-	createdAt    float64
-	bytesServed  float64
-	capacityTime float64 // ∫ capacity dt
-	busyTime     float64 // time with ≥1 active transfer
+	bytesServed    float64
 }
 
 // LinkConfig parameterizes NewLink.
@@ -146,7 +141,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, rng *stats.RNG) *Link {
 		resamplePeriod: cfg.ResamplePeriod,
 		nextJitterAt:   eng.Now() + cfg.ResamplePeriod,
 		lastAdvance:    eng.Now(),
-		createdAt:      eng.Now(),
 	}
 	l.changeCb = func(now float64, _ any) {
 		l.changeTm = sim.Timer{}
@@ -198,14 +192,6 @@ func (l *Link) Capacity() float64 {
 	return c
 }
 
-// Throttled reports whether an outage/throttling episode is in force.
-func (l *Link) Throttled() bool {
-	return l.outage != nil && l.outage.active
-}
-
-// ActiveTransfers returns the number of in-flight transfers.
-func (l *Link) ActiveTransfers() int { return len(l.active) }
-
 // Start begins moving size bytes with the given thread count and invokes
 // onDone (with the completion time) when the last byte lands. The callback
 // may immediately start another transfer.
@@ -239,11 +225,6 @@ func (l *Link) advance() {
 		panic("netsim: link time went backwards")
 	}
 	if dt > 0 {
-		cap := l.Capacity()
-		l.capacityTime += cap * dt
-		if len(l.active) > 0 {
-			l.busyTime += dt
-		}
 		// Stalled transfers hold no bandwidth, so they do not count toward
 		// the concurrency the path-BW estimator scales by.
 		flowing := 0
@@ -377,39 +358,8 @@ func (l *Link) scheduleChange() {
 	l.changeTm = l.eng.ScheduleTimer(next, l.changeCb, nil)
 }
 
-// EstimateDuration predicts how long size bytes would take at bandwidth bw
-// (a pure helper for schedulers; it does not consult the link's hidden
-// state).
-func EstimateDuration(size int64, bw float64) float64 {
-	if bw <= 0 {
-		return math.Inf(1)
-	}
-	return float64(size) / bw
-}
-
 // BytesServed returns the total payload moved so far.
 func (l *Link) BytesServed() float64 {
 	l.advance()
 	return l.bytesServed
-}
-
-// Utilization returns moved bytes divided by offered capacity·time since
-// creation — the fraction of the pipe actually used.
-func (l *Link) Utilization() float64 {
-	l.advance()
-	if l.capacityTime == 0 {
-		return 0
-	}
-	return l.bytesServed / l.capacityTime
-}
-
-// BusyFraction returns the fraction of elapsed time with at least one
-// active transfer.
-func (l *Link) BusyFraction() float64 {
-	l.advance()
-	el := l.eng.Now() - l.createdAt
-	if el <= 0 {
-		return 0
-	}
-	return l.busyTime / el
 }

@@ -110,17 +110,11 @@ func TestThrottleFactorScalesCapacity(t *testing.T) {
 	if l.Capacity() != 1000 {
 		t.Fatalf("capacity = %v, want 1000", l.Capacity())
 	}
-	if l.Throttled() {
-		t.Fatal("throttled without an episode")
-	}
 	// Force an episode.
 	l.outage.active = true
 	l.outage.until = 1e12
 	if l.Capacity() != 250 {
 		t.Fatalf("throttled capacity = %v, want 250", l.Capacity())
-	}
-	if !l.Throttled() {
-		t.Fatal("Throttled() false during episode")
 	}
 }
 

@@ -93,15 +93,3 @@ func (p *Profile) Mean() float64 {
 	}
 	return s / float64(len(p.Slots))
 }
-
-// Scale returns a copy with every slot multiplied by f (>0).
-func (p *Profile) Scale(f float64) *Profile {
-	if f <= 0 {
-		panic("netsim: scale factor must be positive")
-	}
-	out := make([]float64, len(p.Slots))
-	for i, v := range p.Slots {
-		out[i] = v * f
-	}
-	return NewProfile(out)
-}

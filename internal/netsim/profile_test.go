@@ -99,23 +99,6 @@ func TestDiurnalValidation(t *testing.T) {
 	}
 }
 
-func TestProfileScale(t *testing.T) {
-	p := NewProfile([]float64{10, 20})
-	s := p.Scale(3)
-	if s.Slots[0] != 30 || s.Slots[1] != 60 {
-		t.Fatalf("Scale = %v", s.Slots)
-	}
-	if p.Slots[0] != 10 {
-		t.Fatal("Scale mutated original")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) did not panic")
-		}
-	}()
-	p.Scale(0)
-}
-
 func TestThreadModelLimit(t *testing.T) {
 	tm := ThreadModel{PerThread: 100, Penalty: 0.1, MaxThread: 20}
 	if tm.Limit(0) != 0 || tm.Limit(-1) != 0 {

@@ -51,10 +51,6 @@ type Queue struct {
 	stallRNG   *stats.RNG
 	stallTm    sim.Timer
 	abortTm    sim.Timer
-	aborted    int
-
-	completed  int
-	bytesMoved int64
 
 	doneCb func(at float64, tr *Transfer) // prebound completion callback
 }
@@ -113,8 +109,6 @@ func (q *Queue) transferDone(at float64, tr *Transfer) {
 	q.cancelStallTimers()
 	q.current = nil
 	q.currentTr = nil
-	q.completed++
-	q.bytesMoved += it.Bytes
 	bw := tr.AchievedBW(at)
 	if q.tuner != nil {
 		q.tuner.Observe(at, bw)
@@ -143,9 +137,6 @@ func (q *Queue) EnableStalls(model StallModel, rng *stats.RNG) {
 	}
 	q.stallModel, q.stallRNG = model, rng
 }
-
-// Aborted returns the number of transfers the stall timeout killed.
-func (q *Queue) Aborted() int { return q.aborted }
 
 func (q *Queue) cancelStallTimers() {
 	if q.stallTm.Active() {
@@ -188,7 +179,6 @@ func (q *Queue) abortFired(at float64, arg any) {
 	tr := q.currentTr
 	q.current = nil
 	q.currentTr = nil
-	q.aborted++
 	q.link.Abort(tr)
 	if q.OnAbort != nil {
 		q.OnAbort(at, it)
@@ -204,12 +194,6 @@ func (q *Queue) Busy() bool { return q.current != nil }
 
 // QueuedItems returns the number of waiting (not in-flight) items.
 func (q *Queue) QueuedItems() int { return len(q.items) }
-
-// Completed returns the number of finished transfers.
-func (q *Queue) Completed() int { return q.completed }
-
-// BytesMoved returns the total completed payload.
-func (q *Queue) BytesMoved() int64 { return q.bytesMoved }
 
 // Backlog returns the bytes ahead of a new arrival: everything queued plus
 // what remains of the in-flight transfer. This is locally observable state

@@ -14,10 +14,12 @@ func TestQueueFIFOOneAtATime(t *testing.T) {
 	q := NewQueue(eng, "up", l, nil, 8)
 	var order []string
 	var times []float64
+	var moved int64
 	enq := func(name string, bytes int64) {
 		q.Enqueue(&QueueItem{Bytes: bytes, Meta: name, OnDone: func(at float64, it *QueueItem, bw float64) {
 			order = append(order, it.Meta.(string))
 			times = append(times, at)
+			moved += it.Bytes
 		}})
 	}
 	enq("a", 1000)
@@ -37,8 +39,8 @@ func TestQueueFIFOOneAtATime(t *testing.T) {
 			t.Fatalf("times = %v, want %v", times, want)
 		}
 	}
-	if q.Completed() != 3 || q.BytesMoved() != 4000 {
-		t.Fatalf("completed=%d moved=%d", q.Completed(), q.BytesMoved())
+	if moved != 4000 {
+		t.Fatalf("moved %d bytes, want 4000", moved)
 	}
 }
 
@@ -138,20 +140,22 @@ func TestSplitUploaderRouting(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
+	completed := 0
+	done := func(float64, *QueueItem, float64) { completed++ }
 	// Occupy all three queues so nothing rides up, then check routing.
-	u.Small.Enqueue(&QueueItem{Bytes: 500})
-	u.Medium.Enqueue(&QueueItem{Bytes: 5000})
-	u.Large.Enqueue(&QueueItem{Bytes: 50000})
-	u.Enqueue(&QueueItem{Bytes: 800, Meta: "s"})
-	u.Enqueue(&QueueItem{Bytes: 5000, Meta: "m"})
-	u.Enqueue(&QueueItem{Bytes: 20000, Meta: "l"})
+	u.Small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+	u.Medium.Enqueue(&QueueItem{Bytes: 5000, OnDone: done})
+	u.Large.Enqueue(&QueueItem{Bytes: 50000, OnDone: done})
+	u.Enqueue(&QueueItem{Bytes: 800, Meta: "s", OnDone: done})
+	u.Enqueue(&QueueItem{Bytes: 5000, Meta: "m", OnDone: done})
+	u.Enqueue(&QueueItem{Bytes: 20000, Meta: "l", OnDone: done})
 	if u.Small.QueuedItems() != 1 || u.Medium.QueuedItems() != 1 || u.Large.QueuedItems() != 1 {
 		t.Fatalf("routing wrong: %d/%d/%d queued",
 			u.Small.QueuedItems(), u.Medium.QueuedItems(), u.Large.QueuedItems())
 	}
 	eng.Run()
-	if u.Completed() != 6 {
-		t.Fatalf("Completed = %d, want 6", u.Completed())
+	if completed != 6 {
+		t.Fatalf("completed %d, want 6", completed)
 	}
 }
 
@@ -193,20 +197,25 @@ func TestSplitUploaderIdleStealFromLower(t *testing.T) {
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
 	// Fill the small queue deeply; when medium/large drain they should
-	// steal waiting small items.
+	// steal waiting small items. Each queue counts the transfers it
+	// completes through its measurement hook.
+	completed := 0
+	done := func(float64, *QueueItem, float64) { completed++ }
+	var medium, large int
+	u.Medium.OnMeasure = func(float64, float64) { medium++ }
+	u.Large.OnMeasure = func(float64, float64) { large++ }
 	for i := 0; i < 6; i++ {
-		u.Small.Enqueue(&QueueItem{Bytes: 500})
+		u.Small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
 	}
-	u.Medium.Enqueue(&QueueItem{Bytes: 500})
-	u.Large.Enqueue(&QueueItem{Bytes: 500})
+	u.Medium.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+	u.Large.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
 	eng.Run()
-	if u.Completed() != 8 {
-		t.Fatalf("Completed = %d, want 8", u.Completed())
+	if completed != 8 {
+		t.Fatalf("completed %d, want 8", completed)
 	}
 	// Higher queues must have processed more than their own single item.
-	if u.Medium.Completed()+u.Large.Completed() <= 2 {
-		t.Fatalf("idle steal never happened: medium=%d large=%d",
-			u.Medium.Completed(), u.Large.Completed())
+	if medium+large <= 2 {
+		t.Fatalf("idle steal never happened: medium=%d large=%d", medium, large)
 	}
 }
 

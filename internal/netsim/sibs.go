@@ -118,11 +118,6 @@ func (u *SplitUploader) QueueBacklogs() (s, m, l float64) {
 	return u.Small.Backlog(), u.Medium.Backlog(), u.Large.Backlog()
 }
 
-// Completed returns the total transfers finished across the queues.
-func (u *SplitUploader) Completed() int {
-	return u.Small.Completed() + u.Medium.Completed() + u.Large.Completed()
-}
-
 // Busy reports whether any queue has an in-flight transfer.
 func (u *SplitUploader) Busy() bool {
 	return u.Small.Busy() || u.Medium.Busy() || u.Large.Busy()

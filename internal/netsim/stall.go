@@ -63,6 +63,3 @@ func (l *Link) Abort(tr *Transfer) {
 	tr.rate = 0
 	l.reallocate()
 }
-
-// Stalled reports whether the transfer is frozen.
-func (tr *Transfer) Stalled() bool { return tr.stalled }

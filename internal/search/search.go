@@ -19,7 +19,6 @@ package search
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"cloudburst/internal/sweep"
@@ -45,12 +44,6 @@ func searchErr(field, reason string, args ...any) *Error {
 		reason = fmt.Sprintf(reason, args...)
 	}
 	return &Error{Field: field, Reason: reason}
-}
-
-// IsError reports whether err unwraps to a search *Error.
-func IsError(err error) bool {
-	var se *Error
-	return errors.As(err, &se)
 }
 
 // Predicate is one SLA-violation condition the search localizes. Margin

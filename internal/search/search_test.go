@@ -189,9 +189,6 @@ func TestRunValidation(t *testing.T) {
 			if se.Field != tc.field {
 				t.Fatalf("err field = %q, want %q (%v)", se.Field, tc.field, err)
 			}
-			if !IsError(err) {
-				t.Fatal("IsError missed a *search.Error")
-			}
 		})
 	}
 }
@@ -393,10 +390,11 @@ func TestPresetRegistry(t *testing.T) {
 	if err != nil || len(two) != 2 || two[0].Name != "budget-fallback" {
 		t.Fatalf("selection order not preserved: %v, %v", two, err)
 	}
-	if _, err := PresetSet([]string{"bogus"}); !IsError(err) {
+	var se *Error
+	if _, err := PresetSet([]string{"bogus"}); !errors.As(err, &se) {
 		t.Fatalf("unknown predicate accepted: %v", err)
 	}
-	if _, err := PresetSet([]string{"oo-stagnation", "oo-stagnation"}); !IsError(err) {
+	if _, err := PresetSet([]string{"oo-stagnation", "oo-stagnation"}); !errors.As(err, &se) {
 		t.Fatalf("duplicate predicate accepted: %v", err)
 	}
 	if !NeedsAuditAny(all) {

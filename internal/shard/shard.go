@@ -277,40 +277,6 @@ func (c *Coordinator) Round(pending []*job.Job, snap *Snapshot, nShards int, det
 	return outcomes
 }
 
-// SplitState carves the shard's private share out of a full system state
-// for the disjoint metamorphic suite: machine counts split contiguously
-// (remainders to low shards) and backlogs scale with the machine
-// fraction. Shared-path fields (links, predictors, estimators) are
-// referenced as-is — they are read-only.
-func SplitState(base *sched.State, s, n int) *sched.State {
-	if n < 1 {
-		n = 1
-	}
-	part := *base
-	icLo, icHi := cut(base.ICMachines, s, n)
-	ecLo, ecHi := cut(base.ECMachines, s, n)
-	icFrac := frac(icHi-icLo, base.ICMachines)
-	ecFrac := frac(ecHi-ecLo, base.ECMachines)
-	part.ICMachines = icHi - icLo
-	part.ECMachines = ecHi - ecLo
-	part.ICBacklogStd = base.ICBacklogStd * icFrac
-	part.ECBacklogStd = base.ECBacklogStd * ecFrac
-	part.ECPendingStd = base.ECPendingStd * ecFrac
-	return &part
-}
-
-// cut returns shard s's contiguous [lo, hi) share of m items.
-func cut(m, s, n int) (lo, hi int) {
-	return s * m / n, (s + 1) * m / n
-}
-
-func frac(part, whole int) float64 {
-	if whole <= 0 {
-		return 0
-	}
-	return float64(part) / float64(whole)
-}
-
 // CheckTempIDs panics when the real allocator has grown into the
 // temporary chunk-ID space — the renumbering scheme would stop being
 // collision-free. Practically unreachable (2^28 jobs), but cheap to keep

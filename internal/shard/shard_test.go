@@ -293,40 +293,6 @@ func TestRoundDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSplitStateConservesTotals(t *testing.T) {
-	base := &sched.State{
-		ICMachines: 7, ECMachines: 5,
-		ICBacklogStd: 700, ECBacklogStd: 500, ECPendingStd: 50,
-	}
-	for _, n := range []int{1, 2, 3, 4, 5, 8} {
-		ic, ec := 0, 0
-		icB, ecB, ecP := 0.0, 0.0, 0.0
-		for s := 0; s < n; s++ {
-			part := shard.SplitState(base, s, n)
-			ic += part.ICMachines
-			ec += part.ECMachines
-			icB += part.ICBacklogStd
-			ecB += part.ECBacklogStd
-			ecP += part.ECPendingStd
-		}
-		if ic != base.ICMachines || ec != base.ECMachines {
-			t.Fatalf("n=%d: machines %d/%d, want %d/%d", n, ic, ec, base.ICMachines, base.ECMachines)
-		}
-		if math.Abs(icB-base.ICBacklogStd) > 1e-9 || math.Abs(ecB-base.ECBacklogStd) > 1e-9 ||
-			math.Abs(ecP-base.ECPendingStd) > 1e-9 {
-			t.Fatalf("n=%d: backlogs %v/%v/%v not conserved", n, icB, ecB, ecP)
-		}
-	}
-}
-
-func TestSplitStateZeroMachines(t *testing.T) {
-	base := &sched.State{ICMachines: 0, ECMachines: 0, ICBacklogStd: 10}
-	part := shard.SplitState(base, 0, 3)
-	if part.ICMachines != 0 || part.ICBacklogStd != 0 {
-		t.Fatalf("zero-machine split leaked backlog: %+v", part)
-	}
-}
-
 func TestCheckTempIDs(t *testing.T) {
 	shard.CheckTempIDs(1 << 27) // fine
 	defer func() {

@@ -121,14 +121,3 @@ func (s *Set) InOrderStats() (peaks int, stall, maxPeak float64, valleys int) {
 	})
 	return peaks, stall, maxPeak, valleys
 }
-
-// OrderedFractionAt returns the fraction of total output bytes consumable
-// in order at time t with the given tolerance — a normalized OO metric for
-// cross-run comparison.
-func (s *Set) OrderedFractionAt(t float64, tol int) float64 {
-	if s.totalOutput == 0 {
-		return 0
-	}
-	_, ot := s.OOAt(t, tol)
-	return float64(ot) / float64(s.totalOutput)
-}

@@ -59,11 +59,10 @@ type Set struct {
 	// MeanFlowTime are O(1) at read time instead of re-walking the set. The
 	// accumulators mirror the summation order of the loops they replace
 	// (insertion order), so the floating-point results are bit-identical.
-	minArrival  float64
-	maxDone     float64
-	ecCount     int
-	flowSum     float64 // Σ (CompletedAt − ArrivalTime), insertion order
-	totalOutput int64
+	minArrival float64
+	maxDone    float64
+	ecCount    int
+	flowSum    float64 // Σ (CompletedAt − ArrivalTime), insertion order
 }
 
 // pageShift sets the page size, 32 records. A short sweep cell holds about
@@ -129,7 +128,6 @@ func (s *Set) Add(r Record) error {
 		s.ecCount++
 	}
 	s.flowSum += r.CompletedAt - r.ArrivalTime
-	s.totalOutput += r.OutputSize
 	for pi >= len(s.pages) {
 		s.pages = append(s.pages, nil)
 	}

@@ -299,21 +299,6 @@ func TestCompletionSeries(t *testing.T) {
 	}
 }
 
-func TestOrderedFraction(t *testing.T) {
-	s := NewSet()
-	s.Add(rec(0, 0, 10, 30, IC))
-	s.Add(rec(1, 0, 100, 70, IC))
-	if f := s.OrderedFractionAt(50, 0); math.Abs(f-0.3) > 1e-9 {
-		t.Fatalf("OrderedFractionAt = %v, want 0.3", f)
-	}
-	if f := s.OrderedFractionAt(200, 0); f != 1 {
-		t.Fatalf("final fraction = %v", f)
-	}
-	if NewSet().OrderedFractionAt(10, 0) != 0 {
-		t.Fatal("empty fraction should be 0")
-	}
-}
-
 func TestEmptySetEdge(t *testing.T) {
 	s := NewSet()
 	if m, o := s.OOAt(100, 0); m != -1 || o != 0 {

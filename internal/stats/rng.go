@@ -156,19 +156,6 @@ func (g *RNG) LogNormalMeanCV(mean, cv float64) float64 {
 	return g.LogNormal(mu, math.Sqrt(sigma2))
 }
 
-// BoundedPareto returns a Pareto variate with shape alpha truncated to
-// [lo,hi]. Heavy-tailed job sizes ("long-tailed workload" in the paper) are
-// drawn from this family.
-func (g *RNG) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo >= hi {
-		return lo
-	}
-	u := g.r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -167,33 +167,6 @@ func TestLogNormalMeanCV(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoRange(t *testing.T) {
-	g := NewRNG(41)
-	lo, hi := 1e6, 3e8 // 1MB..300MB, the paper's job size range
-	for i := 0; i < 5000; i++ {
-		v := g.BoundedPareto(1.1, lo, hi)
-		if v < lo || v > hi {
-			t.Fatalf("BoundedPareto out of [%v,%v]: %v", lo, hi, v)
-		}
-	}
-	if v := g.BoundedPareto(1.5, 5, 5); v != 5 {
-		t.Fatalf("degenerate range should return lo, got %v", v)
-	}
-}
-
-func TestBoundedParetoSkew(t *testing.T) {
-	g := NewRNG(43)
-	var s Summary
-	for i := 0; i < 20000; i++ {
-		s.Add(g.BoundedPareto(1.0, 1, 100))
-	}
-	// A heavy-tailed bounded Pareto has mean well below the midpoint and
-	// median far below the mean.
-	if s.Mean() > 25 {
-		t.Fatalf("BoundedPareto(1,1,100) mean = %v, expected strong low bias", s.Mean())
-	}
-}
-
 // Property: Poisson never returns negative, over a range of lambdas.
 func TestPoissonNonNegativeProperty(t *testing.T) {
 	g := NewRNG(47)

@@ -76,20 +76,6 @@ func (ts *TimeSeries) Last() Point {
 	return ts.Points[len(ts.Points)-1]
 }
 
-// Resample returns the series evaluated on a regular grid [start,end] with
-// the given step, using zero-order hold. It is used to align series from
-// different schedulers onto a common sampling grid before comparison.
-func (ts *TimeSeries) Resample(start, end, step float64) *TimeSeries {
-	if step <= 0 {
-		panic("stats: resample step must be positive")
-	}
-	out := &TimeSeries{Name: ts.Name}
-	for t := start; t <= end+step/2; t += step {
-		out.Append(t, ts.At(t))
-	}
-	return out
-}
-
 // Sub returns pointwise a-b on a's grid (b evaluated by zero-order hold).
 // The paper's Fig. 10 plots exactly this: scheduler OO series minus the
 // IC-only baseline series.
@@ -107,29 +93,6 @@ func (ts *TimeSeries) CSV() string {
 	fmt.Fprintf(&b, "t,%s\n", ts.Name)
 	for _, p := range ts.Points {
 		fmt.Fprintf(&b, "%.3f,%.6g\n", p.T, p.V)
-	}
-	return b.String()
-}
-
-// MergeCSV renders several series resampled onto the grid of the first as a
-// multi-column CSV — handy for plotting figure data side by side.
-func MergeCSV(series ...*TimeSeries) string {
-	if len(series) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("t")
-	for _, s := range series {
-		b.WriteString(",")
-		b.WriteString(s.Name)
-	}
-	b.WriteString("\n")
-	for _, p := range series[0].Points {
-		fmt.Fprintf(&b, "%.3f", p.T)
-		for _, s := range series {
-			fmt.Fprintf(&b, ",%.6g", s.At(p.T))
-		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -60,33 +60,6 @@ func TestTimeSeriesAtEmpty(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	ts := &TimeSeries{Name: "v"}
-	ts.Append(0, 1)
-	ts.Append(3, 5)
-	r := ts.Resample(0, 6, 2)
-	wantT := []float64{0, 2, 4, 6}
-	wantV := []float64{1, 1, 5, 5}
-	if r.Len() != 4 {
-		t.Fatalf("resampled Len = %d, want 4: %v", r.Len(), r.Points)
-	}
-	for i := range wantT {
-		if r.Points[i].T != wantT[i] || r.Points[i].V != wantV[i] {
-			t.Fatalf("point %d = %+v, want (%v,%v)", i, r.Points[i], wantT[i], wantV[i])
-		}
-	}
-}
-
-func TestResampleBadStepPanics(t *testing.T) {
-	ts := &TimeSeries{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive step did not panic")
-		}
-	}()
-	ts.Resample(0, 10, 0)
-}
-
 func TestSub(t *testing.T) {
 	a := &TimeSeries{Name: "a"}
 	a.Append(0, 10)
@@ -114,96 +87,4 @@ func TestCSVOutput(t *testing.T) {
 	if !strings.Contains(out, "120.000,2") {
 		t.Fatalf("CSV body missing row: %q", out)
 	}
-}
-
-func TestMergeCSV(t *testing.T) {
-	a := &TimeSeries{Name: "a"}
-	a.Append(0, 1)
-	a.Append(10, 2)
-	b := &TimeSeries{Name: "b"}
-	b.Append(0, 5)
-	out := MergeCSV(a, b)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != "t,a,b" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 3 {
-		t.Fatalf("rows = %d, want 3", len(lines))
-	}
-	if MergeCSV() != "" {
-		t.Fatal("MergeCSV() with no series should be empty")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1, 2.5, 5, 9.99, -3, 15} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	// -3 clamps to bin 0; 15 clamps to last bin.
-	if h.Counts[0] != 3 { // 0, 1, -3
-		t.Fatalf("bin0 = %d, want 3 (%v)", h.Counts[0], h.Counts)
-	}
-	if h.Counts[4] != 2 { // 9.99, 15
-		t.Fatalf("bin4 = %d, want 2 (%v)", h.Counts[4], h.Counts)
-	}
-	if h.BinCenter(0) != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", h.BinCenter(0))
-	}
-	if f := h.Fraction(0); approxDiff(f, 3.0/7.0) > 1e-12 {
-		t.Fatalf("Fraction(0) = %v", f)
-	}
-}
-
-func approxDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-func TestHistogramEdgeValueGoesToUpperBin(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(2) // exactly on the 0/1 bin boundary -> bin 1
-	if h.Counts[1] != 1 {
-		t.Fatalf("boundary value landed in %v", h.Counts)
-	}
-}
-
-func TestHistogramConstructorPanics(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		bins   int
-	}{{0, 10, 0}, {5, 5, 3}, {9, 2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewHistogram(%v,%v,%d) did not panic", c.lo, c.hi, c.bins)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.bins)
-		}()
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 4, 2)
-	h.Add(1)
-	h.Add(3)
-	h.Add(3.5)
-	s := h.String()
-	if !strings.Contains(s, "#") {
-		t.Fatalf("String() has no bars: %q", s)
-	}
-	if h.Fraction(1) == 0 {
-		t.Fatal("expected nonzero fraction in bin 1")
-	}
-	empty := NewHistogram(0, 1, 2)
-	if empty.Fraction(0) != 0 {
-		t.Fatal("empty histogram fraction should be 0")
-	}
-	_ = empty.String() // must not divide by zero
 }

@@ -18,7 +18,6 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -525,10 +524,4 @@ func ProbeSeed(base int64, point string, k int) int64 {
 		return base
 	}
 	return DeriveSeed(base+int64(k), "probe:"+point)
-}
-
-// IsSpecError reports whether err unwraps to a *SpecError.
-func IsSpecError(err error) bool {
-	var se *SpecError
-	return errors.As(err, &se)
 }

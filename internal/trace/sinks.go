@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // Recorder is an in-memory sink: it retains every event in emission order.
@@ -25,15 +24,6 @@ func (r *Recorder) Len() int { return len(r.events) }
 // Events returns a copy of the recorded events in emission order.
 func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
-}
-
-// SortedEvents returns a copy sorted by T (stable, so same-time events keep
-// emission order). Outage episodes are detected lazily, so raw emission
-// order is not strictly time-ordered.
-func (r *Recorder) SortedEvents() []Event {
-	out := r.Events()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
 }
 
 // JSONLWriter streams events as one JSON object per line. Writes are
