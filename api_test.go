@@ -52,6 +52,77 @@ func TestOptionErrorOnUnknownNames(t *testing.T) {
 	}
 }
 
+// TestRejectedCombinations pins the written list of rejected option
+// combinations (README, "Rejected combinations"). Each combination the
+// library rejects returns an *OptionError naming its field, and every pair
+// of feature toggles passes Options.Validate.
+func TestRejectedCombinations(t *testing.T) {
+	_, _, svc := serveAndWait(t, nil, ServiceOptions{DurationSec: 600, WindowSec: 300, CheckpointAtEnd: true})
+	blob, err := svc.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cancelled context stops a service the checks wrongly accept.
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
+	serve := func(o ServiceOptions) func() error {
+		return func() error {
+			o.WindowSec = 300
+			svc, err := Serve(stopped, o)
+			if err == nil {
+				for range svc.Reports() {
+				}
+				_, _ = svc.Wait()
+			}
+			return err
+		}
+	}
+	rejected := []struct {
+		name, field string
+		err         func() error
+	}{
+		{"MaxJobs with Restore", "MaxJobs", serve(ServiceOptions{Restore: blob, MaxJobs: 10})},
+		{"CheckpointAtEnd without DurationSec", "CheckpointAtEnd", serve(ServiceOptions{CheckpointAtEnd: true})},
+		{"CheckpointAtEnd with MaxJobs", "CheckpointAtEnd",
+			serve(ServiceOptions{CheckpointAtEnd: true, DurationSec: 600, MaxJobs: 10})},
+		{"ECMachines above AutoscaleECMax", "ECMachines",
+			func() error { return Options{ECMachines: 6, AutoscaleECMax: 5}.Validate() }},
+	}
+	for _, c := range rejected {
+		var oe *OptionError
+		if err := c.err(); !errors.As(err, &oe) || oe.Field != c.field {
+			t.Errorf("%s: got %v, want an *OptionError on %s", c.name, err, c.field)
+		}
+	}
+
+	toggles := []struct {
+		name string
+		set  func(o *Options)
+	}{
+		{"faults", func(o *Options) {
+			o.Faults = &FaultOptions{ECRevocationMTBF: 400, ICCrashMTBF: 700, TransferStallMTBF: 600}
+		}},
+		{"cost-budget", func(o *Options) { o.Cost = &CostOptions{Budget: 2} }},
+		{"shards", func(o *Options) { o.Shards = &ShardOptions{Count: 2} }},
+		{"autoscale", func(o *Options) { o.AutoscaleECMax = 5 }},
+		{"resched", func(o *Options) { o.Rescheduling = true }},
+		{"extra-site", func(o *Options) { o.ExtraECSites = []ECSiteSpec{{Machines: 2}} }},
+		{"outages", func(o *Options) { o.OutageMTBF = 1500 }},
+		{"audit", func(o *Options) { o.Audit = true }},
+		{"verify", func(o *Options) { o.Verify = true }},
+	}
+	for i, a := range toggles {
+		for _, b := range toggles[i+1:] {
+			var o Options
+			a.set(&o)
+			b.set(&o)
+			if err := o.Validate(); err != nil {
+				t.Errorf("%s with %s rejected: %v", a.name, b.name, err)
+			}
+		}
+	}
+}
+
 func TestNormalizeIdempotentAndEquivalent(t *testing.T) {
 	withFaults := func(o Options) Options {
 		o.Faults = &FaultOptions{ECRevocationMTBF: 400, ICCrashMTBF: 600, ICCrashMTTR: 300}

@@ -242,7 +242,7 @@ func BenchmarkQRSMRefitGrowing(b *testing.B) {
 	bfs, bys := workload.BootstrapSet(benchSeed, 200, 0.12)
 	proto := qrsm.NewEstimator()
 	proto.Bootstrap(bfs, bys)
-	proto.Materialize()
+	proto.Prepare(qrsm.AllClasses)
 	fs, ys := workload.BootstrapSet(benchSeed+1, perOp*opsPerCycle, 0.12)
 	var est *qrsm.Estimator
 	b.ResetTimer()

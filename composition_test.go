@@ -11,7 +11,6 @@ import (
 // the unsplit serve, and exercise the feature it names in the run or the
 // unsplit serve.
 func TestCompositionExtraSite(t *testing.T) {
-	const d1, d2 = 1700, 1900
 	rows := []struct {
 		name string
 		set  func(o *Options)
@@ -44,48 +43,66 @@ func TestCompositionExtraSite(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			o := Options{WorkloadSeed: 3, NetSeed: 3, ExtraECSites: []ECSiteSpec{{Machines: 2}}}
 			row.set(&o)
-
-			run := o
 			rec := NewTraceRecorder()
-			run.Trace, run.Verify, run.Audit = rec, true, true
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			a, err := r.Audit()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertAuditMatchesReport(t, r, a)
+			r, _ := runAudited(t, o, rec)
 			if len(r.SiteBursts) != 1 || r.SiteBursts[0] == 0 {
 				t.Fatalf("extra site bursts %v, want one site with work", r.SiteBursts)
 			}
-
-			serve := ServiceOptions{Options: o, WindowSec: 600}
-			serve.Verify = true
-			unsplit := serve
-			unsplit.DurationSec = d1 + d2
-			unsplit.Trace = rec
-			whole, _, _ := serveAndWait(t, nil, unsplit)
+			serveSplit(t, o, rec)
 			if !row.exercised(r, rec.Events()) {
 				t.Fatalf("neither the run nor the serve exercised %s", row.name)
 			}
-			first := serve
-			first.DurationSec, first.CheckpointAtEnd = d1, true
-			_, _, svc := serveAndWait(t, nil, first)
-			blob, err := svc.Checkpoint()
-			if err != nil {
-				t.Fatalf("Checkpoint: %v", err)
-			}
-			second, _, _ := serveAndWait(t, nil, ServiceOptions{
-				Options: Options{Verify: true}, DurationSec: d2, Restore: blob,
-			})
-			if second.Fingerprint != whole.Fingerprint || second.TraceEvents != whole.TraceEvents {
-				t.Fatalf("split fingerprint %016x/%d, unsplit %016x/%d",
-					second.Fingerprint, second.TraceEvents, whole.Fingerprint, whole.TraceEvents)
-			}
 		})
 	}
+}
+
+// runAudited runs o verified and audited, recording its events into rec,
+// and checks the audit against the report.
+func runAudited(t *testing.T, o Options, rec *TraceRecorder) (*Report, *Audit) {
+	t.Helper()
+	o.Trace, o.Verify, o.Audit = rec, true, true
+	r, err := Run(o)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	a, err := r.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAuditMatchesReport(t, r, a)
+	return r, a
+}
+
+// serveSplit serves o verified for 3,600 s in one piece, recording into rec
+// unless it is nil, and again split by a checkpoint at 1,700 s. The split
+// serve must end on the unsplit serve's fingerprint. It returns the unsplit
+// report and the restored half's report.
+func serveSplit(t *testing.T, o Options, rec *TraceRecorder) (whole, second *ServeReport) {
+	t.Helper()
+	const d1, d2 = 1700, 1900
+	serve := ServiceOptions{Options: o, WindowSec: 600}
+	serve.Verify = true
+	unsplit := serve
+	unsplit.DurationSec = d1 + d2
+	if rec != nil {
+		unsplit.Trace = rec
+	}
+	whole, _, _ = serveAndWait(t, nil, unsplit)
+	first := serve
+	first.DurationSec, first.CheckpointAtEnd = d1, true
+	_, _, svc := serveAndWait(t, nil, first)
+	blob, err := svc.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	second, _, _ = serveAndWait(t, nil, ServiceOptions{
+		Options: Options{Verify: true}, DurationSec: d2, Restore: blob,
+	})
+	if second.Fingerprint != whole.Fingerprint || second.TraceEvents != whole.TraceEvents {
+		t.Fatalf("split fingerprint %016x/%d, unsplit %016x/%d",
+			second.Fingerprint, second.TraceEvents, whole.Fingerprint, whole.TraceEvents)
+	}
+	return whole, second
 }
 
 func countEvents(evs []TraceEvent, match func(TraceEvent) bool) int {
@@ -104,7 +121,6 @@ func countEvents(evs []TraceEvent, match func(TraceEvent) bool) int {
 // split by a checkpoint to the fingerprint and rental accrual of the
 // unsplit serve, and fire the rental-ledger path it names in the run.
 func TestCompositionCost(t *testing.T) {
-	const d1, d2 = 1700, 1900
 	rows := []struct {
 		name string
 		set  func(o *Options)
@@ -134,19 +150,8 @@ func TestCompositionCost(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			o := Options{WorkloadSeed: 3, NetSeed: 3, Cost: &CostOptions{OnDemandRate: 0.10, Budget: 2}}
 			row.set(&o)
-
-			run := o
 			rec := NewTraceRecorder()
-			run.Trace, run.Verify, run.Audit = rec, true, true
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			a, err := r.Audit()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertAuditMatchesReport(t, r, a)
+			r, a := runAudited(t, o, rec)
 			if !a.CostAudited || math.Abs(a.CostRental-r.CostRental) > 1e-9 ||
 				math.Abs(a.CostCommitted-r.CostCommitted) > 1e-9 {
 				t.Fatalf("cost replay: audit rental %v committed %v, report %v/%v",
@@ -162,27 +167,122 @@ func TestCompositionCost(t *testing.T) {
 				t.Fatalf("the run did not exercise %s: %+v", row.name, l)
 			}
 
-			serve := ServiceOptions{Options: o, WindowSec: 600}
-			serve.Verify = true
-			unsplit := serve
-			unsplit.DurationSec = d1 + d2
-			whole, _, _ := serveAndWait(t, nil, unsplit)
-			first := serve
-			first.DurationSec, first.CheckpointAtEnd = d1, true
-			_, _, svc := serveAndWait(t, nil, first)
-			blob, err := svc.Checkpoint()
-			if err != nil {
-				t.Fatalf("Checkpoint: %v", err)
-			}
-			second, _, _ := serveAndWait(t, nil, ServiceOptions{
-				Options: Options{Verify: true}, DurationSec: d2, Restore: blob,
-			})
-			if second.Fingerprint != whole.Fingerprint || second.TraceEvents != whole.TraceEvents {
-				t.Fatalf("split fingerprint %016x/%d, unsplit %016x/%d",
-					second.Fingerprint, second.TraceEvents, whole.Fingerprint, whole.TraceEvents)
-			}
+			whole, second := serveSplit(t, o, nil)
 			if second.CostRental != whole.CostRental || whole.CostRental <= 0 {
 				t.Fatalf("split rental accrual %v, unsplit %v", second.CostRental, whole.CostRental)
+			}
+		})
+	}
+}
+
+// compFeature is one feature axis of TestCompositionPairs: how a row turns
+// it on, and whether it fired, from the run's report and the events of the
+// run and the unsplit serve.
+type compFeature struct {
+	name  string
+	set   func(o *Options)
+	fired func(r *Report, evs []TraceEvent) bool
+}
+
+func hasEvent(evs []TraceEvent, match func(TraceEvent) bool) bool {
+	return countEvents(evs, match) > 0
+}
+
+var (
+	compFaults = compFeature{"faults", func(o *Options) {
+		o.Faults = &FaultOptions{
+			ECRevocationMTBF: 400, ECRevocationWarning: 30, ICCrashMTBF: 700,
+			TransferStallMTBF: 600, TransferStallTimeout: 90,
+		}
+	}, func(r *Report, _ []TraceEvent) bool {
+		return r.ECRevocations > 0 && r.ICCrashes > 0 && r.TransferStalls > 0
+	}}
+	compShards = compFeature{"shards", func(o *Options) { o.Shards = &ShardOptions{Count: 2} },
+		func(_ *Report, evs []TraceEvent) bool {
+			return hasEvent(evs, func(ev TraceEvent) bool { return ev.Shard == 2 })
+		}}
+	compAutoscale = compFeature{"autoscale", func(o *Options) { o.ECMachines, o.AutoscaleECMax = 1, 5 },
+		func(_ *Report, evs []TraceEvent) bool {
+			return hasEvent(evs, func(ev TraceEvent) bool { return ev.Type.String() == "AutoscaleBoot" })
+		}}
+	compResched = compFeature{"rescheduling", func(o *Options) { o.Rescheduling, o.Scheduler = true, SIBS },
+		func(_ *Report, evs []TraceEvent) bool {
+			return hasEvent(evs, func(ev TraceEvent) bool { return ev.Type.String() == "Rescheduled" })
+		}}
+)
+
+// bootAfterEmpty reports whether, in some run or serve of evs, the
+// autoscaler booted a machine after revocations first emptied the EC
+// fleet.
+func bootAfterEmpty(evs []TraceEvent) bool {
+	fleet, emptied := 0, false
+	for _, ev := range evs {
+		switch ev.Type.String() {
+		case "RunConfigured":
+			fleet, emptied = ev.ECMachines, false
+		case "MachineFailed":
+			if ev.Cluster == "ec" && ev.Fatal {
+				fleet--
+				emptied = emptied || fleet == 0
+			}
+		case "AutoscaleBoot":
+			if emptied {
+				return true
+			}
+			fleet = ev.Fleet
+		case "AutoscaleDrain":
+			fleet = ev.Fleet
+		}
+	}
+	return false
+}
+
+// TestCompositionPairs crosses the feature axes that the extra-site and
+// cost matrices leave open, pair by pair, plus one row with every feature
+// on. Each row must run verified with an exact audit, serve split by a
+// checkpoint to the fingerprint of the unsplit serve, and fire each
+// feature it names in the run or the unsplit serve. The faults × autoscale
+// row must also refill the fleet after revocations empty it. The shards
+// rows estimate through the fan-out's read-only path under the checker.
+func TestCompositionPairs(t *testing.T) {
+	// The features the pair rows do not cross: they only fire here.
+	others := compFeature{"extra site, budget and outages", func(o *Options) {
+		o.ExtraECSites = []ECSiteSpec{{Machines: 2}}
+		o.Cost = &CostOptions{OnDemandRate: 0.10, Budget: 4}
+		o.OutageMTBF = 1500
+	}, func(r *Report, evs []TraceEvent) bool {
+		return r.SiteBursts[0] > 0 && r.BudgetDenials > 0 &&
+			hasEvent(evs, func(ev TraceEvent) bool { return ev.Type.String() == "OutageStart" })
+	}}
+	rows := []struct {
+		name     string
+		features []compFeature
+		refill   bool // a boot must follow the fleet's first emptying
+	}{
+		{"faults-shards", []compFeature{compFaults, compShards}, false},
+		{"faults-autoscale", []compFeature{compFaults, compAutoscale}, true},
+		{"faults-resched", []compFeature{compFaults, compResched}, false},
+		{"shards-autoscale", []compFeature{compShards, compAutoscale}, false},
+		{"shards-resched", []compFeature{compShards, compResched}, false},
+		{"autoscale-resched", []compFeature{compAutoscale, compResched}, false},
+		{"everything", []compFeature{others, compShards, compFaults, compAutoscale, compResched}, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			o := Options{WorkloadSeed: 3, NetSeed: 3}
+			for _, f := range row.features {
+				f.set(&o)
+			}
+			rec := NewTraceRecorder()
+			r, _ := runAudited(t, o, rec)
+			serveSplit(t, o, rec)
+			for _, f := range row.features {
+				if !f.fired(r, rec.Events()) {
+					t.Fatalf("%s never fired", f.name)
+				}
+			}
+			if row.refill && !bootAfterEmpty(rec.Events()) {
+				t.Fatal("no boot after revocations emptied the fleet")
 			}
 		})
 	}

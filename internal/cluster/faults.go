@@ -98,6 +98,7 @@ type FaultInjector struct {
 	OnRestore func(at float64, m *Machine)
 
 	failures int
+	stopped  bool // a permanent model emptied the fleet; see MachineJoined
 }
 
 // NewFaultInjector arms the model against the cluster. A disabled model
@@ -128,11 +129,23 @@ func (fi *FaultInjector) tick(now float64, _ any) {
 		}
 	}
 	// Once a permanent model has consumed the whole fleet there is nothing
-	// left to kill and no repair will ever refill it; stop ticking.
+	// left to kill and no repair will ever refill it; stop ticking until a
+	// machine joins.
 	if fi.model.Permanent() && len(fi.c.machines) == 0 {
+		fi.stopped = true
 		return
 	}
 	fi.scheduleNext()
+}
+
+// MachineJoined tells the injector that a machine was added to its
+// cluster. An injector that stopped on an empty fleet resumes ticking, so
+// machines booted after the last revocation can be revoked too.
+func (fi *FaultInjector) MachineJoined() {
+	if fi.stopped {
+		fi.stopped = false
+		fi.scheduleNext()
+	}
 }
 
 func (fi *FaultInjector) kill(now float64, arg any) {

@@ -228,7 +228,7 @@ func (e *Engine) buildEstimator() *qrsm.Estimator {
 		proto = qrsm.NewEstimator()
 		fs, ys := workload.BootstrapSet(bootstrapSeed, cfg.BootstrapN, cfg.NoiseCV)
 		proto.Bootstrap(fs, ys)
-		proto.Materialize() // pay the factorization once, not per clone
+		proto.Prepare(qrsm.AllClasses) // pay the factorization once, not per clone
 		// Settle the R² every run reports, or each clone computes it anew.
 		proto.GlobalModel().SettledR2()
 		if v, loaded := bootProtos.LoadOrStore(key, proto); loaded {

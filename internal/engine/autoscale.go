@@ -83,6 +83,18 @@ func (a *autoscaler) bootDone(now float64, _ any) {
 		})
 	}
 	e.rentalStarted(e.sites[0], m)
+	if e.ecFaults != nil {
+		e.ecFaults.MachineJoined()
+	}
+}
+
+// boot orders n machines, each online after the boot delay.
+func (a *autoscaler) boot(n int) {
+	for range n {
+		a.pendingBoots++
+		a.bootCount++
+		a.e.eng.CallAfter(a.cfg.BootDelay, a.bootCb, nil)
+	}
 }
 
 // tick evaluates demand and scales. Demand is the expected queueing wait
@@ -91,20 +103,21 @@ func (a *autoscaler) bootDone(now float64, _ any) {
 // the pace of the pipe, and the paper's policy is to hold "just enough"
 // machines to keep the transfer path saturated — booting for bytes that
 // cannot arrive any faster only rents idle capacity.
+//
+// A fleet that revocations took below Min is refilled regardless of
+// demand: with no EC machine the schedulers burst nothing, so no backlog
+// would ever ask for one. It is not refilled once the budget is spent,
+// because no burst could then use the machine.
 func (a *autoscaler) tick() {
 	e := a.e
-	demandStd := e.ec.BacklogStdSeconds()
 	fleet := e.ec.Size() + a.pendingBoots
-	if fleet < 1 {
-		fleet = 1
-	}
-	wait := demandStd / float64(fleet)
+	wait := e.ec.BacklogStdSeconds() / float64(max(fleet, 1))
 
 	switch {
-	case wait > a.cfg.TargetWait && e.ec.Size()+a.pendingBoots < a.cfg.Max:
-		a.pendingBoots++
-		a.bootCount++
-		e.eng.CallAfter(a.cfg.BootDelay, a.bootCb, nil)
+	case fleet < a.cfg.Min && !a.budgetSpent():
+		a.boot(a.cfg.Min - fleet)
+	case wait > a.cfg.TargetWait && fleet < a.cfg.Max:
+		a.boot(1)
 	case wait < a.cfg.TargetWait/2 && a.pendingBoots == 0:
 		if m := e.ec.DrainIdleMachine(a.cfg.Min); m != nil {
 			a.drainCount++
@@ -117,4 +130,11 @@ func (a *autoscaler) tick() {
 			e.rentalEnded(e.sites[0], m, e.eng.Now())
 		}
 	}
+}
+
+// budgetSpent reports whether the budget gate can admit no further burst:
+// the budget left is below the cheapest charge, one billing interval.
+func (a *autoscaler) budgetSpent() bool {
+	m := a.e.meter
+	return m != nil && m.Remaining() < m.Charge(0)
 }

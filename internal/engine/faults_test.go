@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cloudburst/internal/cluster"
+	"cloudburst/internal/cost"
 	"cloudburst/internal/engine"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
@@ -20,9 +21,9 @@ import (
 // auditTol bounds the engine-vs-auditor disagreement on recomputed metrics.
 const auditTol = 1e-9
 
-// runFaulted executes one traced fault run and cross-checks it against the
-// auditor's independent replay.
-func runFaulted(t *testing.T, cfg engine.Config, s sched.Scheduler) (*engine.Result, *trace.Audit) {
+// runFaulted executes one traced fault run, cross-checks it against the
+// auditor's independent replay and returns the run's events.
+func runFaulted(t *testing.T, cfg engine.Config, s sched.Scheduler) (*engine.Result, []trace.Event) {
 	t.Helper()
 	rec := trace.NewRecorder()
 	cfg.Tracer = rec
@@ -56,7 +57,7 @@ func runFaulted(t *testing.T, cfg engine.Config, s sched.Scheduler) (*engine.Res
 	check("burstRatio", a.BurstRatio, res.BurstRatio)
 	check("icUtil", a.ICUtil, res.ICUtil)
 	check("ecUtil", a.ECUtil, res.ECUtil)
-	return res, a
+	return res, rec.Events()
 }
 
 // TestTotalRevocationFallsBackToIC revokes the entire external cloud early
@@ -75,6 +76,110 @@ func TestTotalRevocationFallsBackToIC(t *testing.T) {
 	}
 	if res.Fallbacks == 0 {
 		t.Fatal("total revocation produced no IC fallbacks")
+	}
+}
+
+// refillConfig autoscales an EC fleet of one machine that revocations
+// empty early (seed 3 revokes it within the first 600 s).
+func refillConfig() engine.Config {
+	return engine.Config{
+		NetSeed:    3,
+		ECMachines: 1,
+		Autoscale:  &engine.AutoscaleConfig{Max: 5},
+		Faults: &engine.FaultConfig{
+			ECRevocation: cluster.FaultModel{MTBF: 1500},
+			Seed:         3,
+		},
+	}
+}
+
+// refillAfterEmpty scans a run's events for the time revocations first
+// emptied the EC fleet of initial size fleet, and the index of the first
+// boot after it; each is -1 when it never happened.
+func refillAfterEmpty(evs []trace.Event, fleet int) (emptied float64, boot int) {
+	emptied = -1
+	for i, ev := range evs {
+		switch {
+		case ev.Type == trace.MachineFailed && ev.Cluster == "ec" && ev.Fatal:
+			fleet--
+			if fleet == 0 && emptied < 0 {
+				emptied = ev.T
+			}
+		case ev.Type == trace.AutoscaleBoot:
+			if emptied >= 0 {
+				return emptied, i
+			}
+			fleet = ev.Fleet
+		case ev.Type == trace.AutoscaleDrain:
+			fleet = ev.Fleet
+		}
+	}
+	return emptied, -1
+}
+
+// TestAutoscaleRefillsRevokedFleet revokes the only machine of an
+// autoscaled EC fleet. The schedulers burst nothing to an empty fleet, so
+// no backlog asks for a machine: the autoscaler must boot one because the
+// fleet fell below its minimum, within one control period plus the boot
+// delay, and a later job must burst to it. The fault injector, stopped by
+// the empty fleet, must resume and revoke a machine booted afterwards.
+func TestAutoscaleRefillsRevokedFleet(t *testing.T) {
+	cfg := refillConfig()
+	res, evs := runFaulted(t, cfg, sched.OrderPreserving{})
+	const period, bootDelay = 60, 120 // the AutoscaleConfig defaults
+	emptied, boot := refillAfterEmpty(evs, cfg.ECMachines)
+	if emptied < 0 {
+		t.Fatalf("the fleet never emptied (%d revocations); the test needs it to", res.ECRevocations)
+	}
+	if boot < 0 || evs[boot].T > emptied+period+bootDelay {
+		t.Fatalf("fleet emptied at %.0f s; no boot after it by %.0f s", emptied, emptied+period+bootDelay)
+	}
+	burstAfter, revokedAfter := 0, 0
+	for _, ev := range evs[boot+1:] {
+		switch {
+		case ev.Type == trace.PlacementDecided && ev.Where == "EC":
+			burstAfter++
+		case ev.Type == trace.MachineFailed && ev.Cluster == "ec" && ev.Fatal:
+			revokedAfter++
+		}
+	}
+	if burstAfter == 0 {
+		t.Fatalf("no job burst after the replacement booted at %.0f s", evs[boot].T)
+	}
+	if revokedAfter == 0 {
+		t.Fatal("no machine booted after the fleet emptied was ever revoked")
+	}
+}
+
+// TestAutoscaleRefillNeedsBudget spends the budget before revocation
+// empties the fleet of TestAutoscaleRefillsRevokedFleet: the admission gate
+// would keep every job off a replacement, so the autoscaler must not rent
+// one. The first budget is below the cheapest charge, so nothing ever
+// bursts; the second runs out mid-run.
+func TestAutoscaleRefillNeedsBudget(t *testing.T) {
+	for _, budget := range []float64{0.05, 0.7} {
+		cfg := refillConfig()
+		cfg.Cost = &cost.Config{OnDemandRate: 0.10, Budget: budget}
+		res, evs := runFaulted(t, cfg, sched.OrderPreserving{})
+		// spent is when the budget left fell below the cheapest charge.
+		spent, cheapest := -1.0, cost.NewMeter(*cfg.Cost).Charge(0)
+		if budget < cheapest {
+			spent = 0
+		}
+		for _, ev := range evs {
+			if spent < 0 && ev.Type == trace.CostAccrued && budget-ev.Total < cheapest {
+				spent = ev.T
+			}
+		}
+		emptied, boot := refillAfterEmpty(evs, cfg.ECMachines)
+		if spent < 0 || emptied < spent || res.BudgetDenials == 0 {
+			t.Fatalf("budget %v: spent at %.0f s, fleet emptied at %.0f s, %d denials; the test needs a budget spent before the fleet empties",
+				budget, spent, emptied, res.BudgetDenials)
+		}
+		if boot >= 0 {
+			t.Fatalf("budget %v spent at %.0f s: the fleet emptied at %.0f s and a machine booted at %.0f s",
+				budget, spent, emptied, evs[boot].T)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cloudburst/internal/job"
+	"cloudburst/internal/qrsm"
 	"cloudburst/internal/shard"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
@@ -16,15 +17,13 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 	pending := b.Jobs
 	for attempt := 1; len(pending) > 0; attempt++ {
 		e.epoch++
-		// The snapshot must be safe for concurrent reads: materialize the
-		// estimator's deferred fits (Estimate is then a pure function),
-		// strip the memoizing EstimateJob, which writes the shared cache,
-		// and route estimates through the buffer-local concurrent path —
-		// Estimate proper reuses per-model scratch across calls.
-		e.estimator.Materialize()
+		// The snapshot must be safe for concurrent reads: settle every fit
+		// an estimate can read (Estimate then only reads) and strip the
+		// memoizing EstimateJob, which writes the shared cache.
+		e.estimator.Prepare(qrsm.AllClasses)
 		st := e.state()
 		st.EstimateJob = nil
-		st.EstimateProc = e.estimator.EstimateConcurrent
+		st.EstimateProc = e.estimator.Estimate
 		nShards := e.coord.Count()
 		detect := true
 		if attempt > e.coord.MaxRetries()+1 {
@@ -63,7 +62,11 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 		}
 
 		shard.CheckTempIDs(e.alloc.Peek())
+		fits := e.estimator.Factorizations()
 		outcomes := e.coord.Round(pending, snap, nShards, detect)
+		if e.estimator.Factorizations() != fits {
+			panic("engine: a QRSM fit ran inside the shard fan-out")
+		}
 
 		// Chunk IDs minted inside the round are shard-temporary; renumber
 		// them from the real allocator in deterministic merge order before

@@ -21,14 +21,20 @@ import (
 type Estimator struct {
 	global     *Model
 	perClass   []*Model
-	floor      float64
-	fallbackMB float64 // seconds per input megabyte before any fit
 	refitEvery int
 	sinceRefit int
 	version    uint64
 
-	prep []*Model // Prepare/Materialize scratch
+	prep []*Model // Prepare scratch
 }
+
+// Estimates never fall below minEstimate seconds. Before any fit they are
+// fallbackSecPerMB seconds per input megabyte, the synthetic workload's
+// scale.
+const (
+	minEstimate      = 1
+	fallbackSecPerMB = 2.0
+)
 
 // Version advances at every refit and whenever a class model first holds
 // the 2·BasisSize samples Estimate requires before consulting it. Estimate
@@ -50,17 +56,6 @@ func WithRefitEvery(n int) EstimatorOption {
 	}
 }
 
-// WithFallbackRate sets the pre-fit heuristic in seconds per input megabyte
-// (default 2.0, matching the synthetic workload's scale).
-func WithFallbackRate(secPerMB float64) EstimatorOption {
-	return func(e *Estimator) { e.fallbackMB = secPerMB }
-}
-
-// WithFloor sets the minimum returned estimate in seconds (default 1).
-func WithFloor(floor float64) EstimatorOption {
-	return func(e *Estimator) { e.floor = floor }
-}
-
 // WithModelWindow bounds each underlying model's training window.
 func WithModelWindow(n int) EstimatorOption {
 	return func(e *Estimator) {
@@ -78,8 +73,6 @@ func NewEstimator(opts ...EstimatorOption) *Estimator {
 	e := &Estimator{
 		global:     New(featureDim),
 		perClass:   make([]*Model, job.NumClasses),
-		floor:      1,
-		fallbackMB: 2.0,
 		refitEvery: 25,
 	}
 	for i := range e.perClass {
@@ -130,24 +123,6 @@ func (e *Estimator) Refit() {
 	}
 }
 
-// Materialize forces every deferred fit an estimate can observe to run
-// now: the global model's and those of well-determined class models.
-// Estimate never consults a class model holding fewer than 2·BasisSize
-// samples, so its deferred fit stays deferred and is never factored unless
-// a later read can see it. Callers that cache a bootstrapped estimator as a
-// prototype use this to pay the bootstrap factorizations once instead of
-// once per clone; the sharded fan-out uses it before concurrent reads.
-func (e *Estimator) Materialize() {
-	ms := append(e.prep[:0], e.global)
-	for _, m := range e.perClass {
-		if m.wellSampled() {
-			ms = append(ms, m)
-		}
-	}
-	e.prep = ms
-	materializeAll(ms)
-}
-
 // ClassBit is class c's bit in a Prepare mask. Classes without a model,
 // negative or past the last bit, share the top bit, which Prepare reads as
 // a job the global model estimates.
@@ -157,6 +132,12 @@ func ClassBit(c job.Class) uint64 {
 	}
 	return 1 << uint(c)
 }
+
+// AllClasses is the Prepare mask of every class. Preparing it settles
+// every fit an estimate can read, so Estimate then only reads: callers that
+// cache a bootstrapped estimator as a prototype pay its factorizations
+// once instead of once per clone, and concurrent readers share it safely.
+const AllClasses = ^uint64(0)
 
 // Prepare materializes, side by side, exactly the deferred fits that
 // Estimate calls for jobs of the given classes (a mask of ClassBit) would
@@ -277,8 +258,6 @@ func (e *Estimator) CloneInto(dst *Estimator) *Estimator {
 	for i, m := range e.perClass {
 		dst.perClass[i] = m.CloneInto(dst.perClass[i])
 	}
-	dst.floor = e.floor
-	dst.fallbackMB = e.fallbackMB
 	dst.refitEvery = e.refitEvery
 	dst.sinceRefit = e.sinceRefit
 	dst.version = e.version
@@ -306,41 +285,29 @@ func (e *Estimator) Bootstrap(features []job.Features, seconds []float64) {
 // with the given features. Preference order: well-determined class model,
 // fitted global model, size heuristic. A class model that merely
 // interpolates its few samples is skipped — its edge behaviour is wild.
+//
+// Estimate materializes the fits it reads. After Prepare of every class it
+// only reads, so any number of goroutines may estimate at once, as long as
+// none observes, refits or clones the estimator meanwhile.
 func (e *Estimator) Estimate(f job.Features) float64 {
 	x := f.Vector()
 	if c := int(f.Class); c >= 0 && c < len(e.perClass) && e.perClass[c].WellDetermined() {
-		return e.perClass[c].PredictClamped(x, e.floor)
+		return e.perClass[c].PredictClamped(x, minEstimate)
 	}
 	if e.global.Fitted() {
-		return e.global.PredictClamped(x, e.floor)
+		return e.global.PredictClamped(x, minEstimate)
 	}
-	v := e.fallbackMB * f.SizeMB
-	if v < e.floor {
-		return e.floor
-	}
-	return v
+	return max(fallbackSecPerMB*f.SizeMB, minEstimate)
 }
 
-// EstimateConcurrent is Estimate for the sharded fan-out: the same model
-// preference order and the same arithmetic — the two agree bit for bit —
-// but every prediction uses caller-local buffers instead of the models'
-// shared scratch, so any number of goroutines may estimate simultaneously.
-// The estimator must be Materialized first and must not be observed,
-// refit or cloned while concurrent readers are active; an unmaterialized
-// model panics rather than racing.
-func (e *Estimator) EstimateConcurrent(f job.Features) float64 {
-	x := f.Vector()
-	if c := int(f.Class); c >= 0 && c < len(e.perClass) && e.perClass[c].wellDeterminedRead() {
-		return e.perClass[c].predictClampedConcurrent(x, e.floor)
+// Factorizations counts the factorizations the estimator's models have run
+// (Model.Factorizations). It moves exactly when a fit materializes.
+func (e *Estimator) Factorizations() int {
+	n := e.global.Factorizations()
+	for _, m := range e.perClass {
+		n += m.Factorizations()
 	}
-	if e.global.fittedRead() {
-		return e.global.predictClampedConcurrent(x, e.floor)
-	}
-	v := e.fallbackMB * f.SizeMB
-	if v < e.floor {
-		return e.floor
-	}
-	return v
+	return n
 }
 
 // GlobalModel exposes the global QRSM for diagnostics (Fig. 3 reports the

@@ -35,7 +35,7 @@ func synthTruth(f job.Features) float64 {
 }
 
 func TestEstimatorFallbackBeforeData(t *testing.T) {
-	e := NewEstimator(WithFallbackRate(2), WithFloor(1))
+	e := NewEstimator()
 	f := job.Features{SizeMB: 50}
 	if got := e.Estimate(f); got != 100 {
 		t.Fatalf("fallback estimate = %v, want 100", got)
@@ -177,53 +177,132 @@ func TestEstimatorErrorsEchoPaperBehaviour(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrentMatchesEstimate pins the sharded fan-out's
-// prediction path: for every model-selection branch (well-determined class
-// model, global model, size fallback) the buffer-local concurrent variant
-// must agree with Estimate bit for bit, including under parallel readers.
-func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
-	g := stats.NewRNG(11)
+// preparedEstimator bootstraps an estimator on two classes and prepares
+// every class, so its reads cover a well-determined class model (class 0)
+// and the global model standing in for a thin class (class 4).
+func preparedEstimator(t *testing.T, g *stats.RNG) *Estimator {
+	t.Helper()
 	e := NewEstimator()
 	var fs []job.Features
 	var ys []float64
-	for i := 0; i < 300; i++ {
-		f := synthFeatures(g, job.Class(i%job.NumClasses))
+	for i := 0; i < 400; i++ {
+		f := synthFeatures(g, job.Class(i%2))
 		fs = append(fs, f)
 		ys = append(ys, synthTruth(f)*g.LogNormalMeanCV(1, 0.05))
 	}
 	e.Bootstrap(fs, ys)
-	e.Materialize()
+	e.Prepare(AllClasses)
+	if !e.perClass[0].WellDetermined() || e.perClass[4].WellDetermined() {
+		t.Fatal("probes must cover a class model and the global model")
+	}
+	return e
+}
 
+// TestEstimateConcurrentMatchesEstimate pins the sharded fan-out's reads:
+// after Prepare of every class, Estimate only reads, so parallel readers
+// (the -race leg makes this a real concurrency check) agree bit for bit
+// with serial calls on every model-selection branch (well-determined class
+// model, global model for a thin class, size fallback) and run no fit.
+func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
+	g := stats.NewRNG(21)
+	e := preparedEstimator(t, g)
 	probes := make([]job.Features, 64)
 	for i := range probes {
 		probes[i] = synthFeatures(g, job.Class(i%job.NumClasses))
 	}
-	for _, f := range probes {
-		if a, b := e.Estimate(f), e.EstimateConcurrent(f); a != b {
-			t.Fatalf("EstimateConcurrent diverged: %v vs %v for %+v", b, a, f)
-		}
+	want := make([]float64, len(probes))
+	for i, f := range probes {
+		want[i] = e.Estimate(f)
 	}
-	// Cold estimator: both sides take the size-fallback branch.
-	cold := NewEstimator(WithFallbackRate(2), WithFloor(1))
-	cold.Materialize()
-	f := job.Features{SizeMB: 50}
-	if a, b := cold.Estimate(f), cold.EstimateConcurrent(f); a != b {
-		t.Fatalf("fallback branch diverged: %v vs %v", b, a)
-	}
-
-	// Parallel readers over the materialized estimator (the -race leg
-	// makes this a real concurrency check).
+	fits := e.Factorizations()
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	bad := make([]int, 8)
+	for w := range bad {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, f := range probes {
-				_ = e.EstimateConcurrent(f)
+			for i, f := range probes {
+				if math.Float64bits(e.Estimate(f)) != math.Float64bits(want[i]) {
+					bad[w]++
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	for w, n := range bad {
+		if n > 0 {
+			t.Fatalf("reader %d: %d estimates differ from the serial ones", w, n)
+		}
+	}
+	if got := e.Factorizations(); got != fits {
+		t.Fatalf("concurrent readers ran %d fits", got-fits)
+	}
+	// Cold estimator: the size fallback.
+	cold := NewEstimator()
+	cold.Prepare(AllClasses)
+	if got := cold.Estimate(job.Features{SizeMB: 50}); got != 100 {
+		t.Fatalf("fallback estimate = %v, want 100", got)
+	}
+}
+
+// TestEstimateConcurrentAllocationFree pins the sharded fan-out's per-job
+// estimate on a prepared estimator: its scratch lives on the caller's
+// stack, on the class-model and the global-model branch alike.
+func TestEstimateConcurrentAllocationFree(t *testing.T) {
+	g := stats.NewRNG(21)
+	e := preparedEstimator(t, g)
+	probes := []job.Features{synthFeatures(g, job.Class(0)), synthFeatures(g, job.Class(4))}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, f := range probes {
+			_ = e.Estimate(f)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Estimate allocates %v times per call pair, want 0", allocs)
+	}
+}
+
+// TestWindowedFitsMatchUnbounded feeds one stream of 3,000 observations,
+// with an estimate after every one, to an unbounded estimator and to one
+// whose models keep a 4,096-row window. The window never fills, so the
+// windowed models must defer exactly like the unbounded ones: the same
+// estimate bits and the same factorization count. A third estimator keeps
+// a 1,000-row window, which the global model fills at observation 1,000
+// (no class model fills). Until then it factors exactly like the unbounded
+// one. From then on each Observe evicts a sample that the requested global
+// fit covers, so every fit a refit requests of the global model runs at
+// the next observation, although no estimate reads that model any more:
+// the count records this, and a window that defers past its fill lowers
+// it.
+func TestWindowedFitsMatchUnbounded(t *testing.T) {
+	const n, fill = 3000, 1000
+	g := stats.NewRNG(3)
+	unbounded, windowed := NewEstimator(), NewEstimator(WithModelWindow(4096))
+	filled := NewEstimator(WithModelWindow(fill))
+	for i := 0; i < n; i++ {
+		f := synthFeatures(g, job.Class(g.Intn(job.NumClasses)))
+		y := synthTruth(f) * g.LogNormalMeanCV(1, 0.1)
+		unbounded.Observe(f, y)
+		windowed.Observe(f, y)
+		filled.Observe(f, y)
+		probe := synthFeatures(g, job.Class(g.Intn(job.NumClasses)))
+		if a, b := windowed.Estimate(probe), unbounded.Estimate(probe); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("obs %d: windowed estimate %v, unbounded %v", i, a, b)
+		}
+		filled.Estimate(probe)
+		if a, b := filled.Factorizations(), unbounded.Factorizations(); i < fill && a != b {
+			t.Fatalf("obs %d: before its window filled, the estimator ran %d factorizations, the unbounded one %d", i, a, b)
+		}
+	}
+	if a, b := windowed.Factorizations(), unbounded.Factorizations(); a != b {
+		t.Fatalf("windowed models ran %d factorizations, unbounded ones %d", a, b)
+	}
+	// Every class model is well determined long before the fill, so the
+	// unbounded estimator runs none of the global fits requested after it;
+	// the filled one runs all (n-fill)/refitEvery of them.
+	if a, b := filled.Factorizations(), unbounded.Factorizations(); a != b+(n-fill)/filled.refitEvery {
+		t.Fatalf("a %d-row window that fills ran %d factorizations, want the unbounded %d + %d",
+			fill, a, b, (n-fill)/filled.refitEvery)
+	}
 }
 
 // TestLazyRefitsMatchEager feeds one observation stream to two estimators.
@@ -232,10 +311,13 @@ func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
 // lazy one only materializes what an estimate reads and computes
 // diagnostics on first read. The class mix is skewed so some class models
 // cross 2·BasisSize samples mid-stream and others never do. Every Estimate
-// and EstimateConcurrent result must agree bit for bit, the lazy side must
-// never factor a class model that is not well determined, and R2, RMSE and
-// SettledR2 must agree bit for bit, on the models and on clones taken
-// while their diagnostics are still owed.
+// result, before and after Prepare of every class, must agree bit for bit,
+// the lazy side must never factor a class model that is not well
+// determined, and R2, RMSE and SettledR2 must agree bit for bit, on the
+// models and on clones taken while their diagnostics are still owed. The
+// stream runs unbounded and again with a 150-row window, which the global
+// model and the busiest classes fill: there Observe settles requested fits
+// and owed diagnostics before each eviction.
 func TestLazyRefitsMatchEager(t *testing.T) {
 	weights := []float64{0.40, 0.25, 0.15, 0.10, 0.06, 0.04}
 	need := 2 * BasisSize(featureDim)
@@ -243,83 +325,92 @@ func TestLazyRefitsMatchEager(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		g := stats.NewRNG(seed)
-		pick := func() job.Class {
-			u := g.Float64()
-			for c, w := range weights {
-				if u < w {
-					return job.Class(c)
+	for _, window := range []int{0, 150} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			g := stats.NewRNG(seed)
+			pick := func() job.Class {
+				u := g.Float64()
+				for c, w := range weights {
+					if u < w {
+						return job.Class(c)
+					}
+					u -= w
 				}
-				u -= w
+				return job.Class(len(weights) - 1)
 			}
-			return job.Class(len(weights) - 1)
-		}
-		lazy, eager := NewEstimator(), NewEstimator()
-		crossed, below, owed := 0, 0, 0
-		for i := 0; i < 900; i++ {
-			f := synthFeatures(g, pick())
-			y := synthTruth(f) * g.LogNormalMeanCV(1, 0.1)
-			v := eager.Version()
-			lazy.Observe(f, y)
-			eager.Observe(f, y)
-			if eager.Version() != v {
-				for _, m := range append([]*Model{eager.global}, eager.perClass...) {
-					m.materialize()
-					m.computeDiagnostics()
+			var opts []EstimatorOption
+			if window > 0 {
+				opts = append(opts, WithModelWindow(window))
+			}
+			lazy, eager := NewEstimator(opts...), NewEstimator(opts...)
+			crossed, below, owed := 0, 0, 0
+			for i := 0; i < 900; i++ {
+				f := synthFeatures(g, pick())
+				y := synthTruth(f) * g.LogNormalMeanCV(1, 0.1)
+				v := eager.Version()
+				lazy.Observe(f, y)
+				eager.Observe(f, y)
+				if eager.Version() != v {
+					for _, m := range append([]*Model{eager.global}, eager.perClass...) {
+						m.materialize()
+						m.computeDiagnostics()
+					}
 				}
-			}
-			if i%7 != 0 {
-				continue
-			}
-			probe := synthFeatures(g, pick())
-			if a, b := lazy.Estimate(probe), eager.Estimate(probe); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("seed %d obs %d: lazy Estimate %v, eager %v", seed, i, a, b)
-			}
-			lazy.Materialize()
-			eager.Materialize()
-			if a, b := lazy.EstimateConcurrent(probe), eager.EstimateConcurrent(probe); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("seed %d obs %d: lazy EstimateConcurrent %v, eager %v", seed, i, a, b)
-			}
-			for c, m := range lazy.perClass {
-				if m.NumSamples() < need && m.fitDone {
-					t.Fatalf("seed %d obs %d: class %d materialized a fit with %d < %d samples", seed, i, c, m.NumSamples(), need)
-				}
-			}
-			if i%21 != 0 {
-				continue
-			}
-			// Every model Materialize covered: the global one and the well
-			// sampled classes. Read a clone first, so the clone inherits
-			// diagnostics the original still owes.
-			clone := lazy.CloneInto(nil)
-			lm := append([]*Model{lazy.global}, lazy.perClass...)
-			cm := append([]*Model{clone.global}, clone.perClass...)
-			em := append([]*Model{eager.global}, eager.perClass...)
-			for k := range lm {
-				if k > 0 && !lm[k].wellSampled() {
+				if i%7 != 0 {
 					continue
 				}
-				if lm[k].diagN > 0 {
-					owed++
+				probe := synthFeatures(g, pick())
+				if a, b := lazy.Estimate(probe), eager.Estimate(probe); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("window %d seed %d obs %d: lazy Estimate %v, eager %v", window, seed, i, a, b)
 				}
-				for _, m := range []*Model{cm[k], lm[k]} {
-					sameDiagnostics(t, m, em[k])
+				lazy.Prepare(AllClasses)
+				eager.Prepare(AllClasses)
+				if a, b := lazy.Estimate(probe), eager.Estimate(probe); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("window %d seed %d obs %d: prepared lazy Estimate %v, eager %v", window, seed, i, a, b)
+				}
+				for c, m := range lazy.perClass {
+					if m.NumSamples() < need && m.fitDone {
+						t.Fatalf("window %d seed %d obs %d: class %d materialized a fit with %d < %d samples", window, seed, i, c, m.NumSamples(), need)
+					}
+				}
+				if i%21 != 0 {
+					continue
+				}
+				// Every model Prepare covered: the global one and the well
+				// sampled classes. Read a clone first, so the clone inherits
+				// diagnostics the original still owes.
+				clone := lazy.CloneInto(nil)
+				lm := append([]*Model{lazy.global}, lazy.perClass...)
+				cm := append([]*Model{clone.global}, clone.perClass...)
+				em := append([]*Model{eager.global}, eager.perClass...)
+				for k := range lm {
+					if k > 0 && !lm[k].wellSampled() {
+						continue
+					}
+					if lm[k].diagN > 0 {
+						owed++
+					}
+					for _, m := range []*Model{cm[k], lm[k]} {
+						sameDiagnostics(t, m, em[k])
+					}
 				}
 			}
-		}
-		for _, m := range lazy.perClass {
-			if m.NumSamples() >= need {
-				crossed++
-			} else {
-				below++
+			for _, m := range lazy.perClass {
+				if m.NumSamples() >= need {
+					crossed++
+				} else {
+					below++
+				}
 			}
-		}
-		if crossed == 0 || below == 0 {
-			t.Fatalf("seed %d: %d class models crossed %d samples and %d stayed below; the stream must do both", seed, crossed, need, below)
-		}
-		if owed == 0 {
-			t.Fatalf("seed %d: no read found diagnostics still owed; the lazy path went untested", seed)
+			if crossed == 0 || below == 0 {
+				t.Fatalf("window %d seed %d: %d class models crossed %d samples and %d stayed below; the stream must do both", window, seed, crossed, need, below)
+			}
+			if owed == 0 {
+				t.Fatalf("window %d seed %d: no read found diagnostics still owed; the lazy path went untested", window, seed)
+			}
+			if window > 0 && lazy.global.total <= window {
+				t.Fatalf("seed %d: the global model never filled its %d-row window", seed, window)
+			}
 		}
 	}
 }
@@ -380,34 +471,6 @@ func TestFailedRefitKeepsActiveFit(t *testing.T) {
 		t.Fatalf("failed refit moved Predict(%v) from %v to %v", probe, before, after)
 	}
 	sameDiagnostics(t, m, fitted)
-}
-
-// TestEstimateConcurrentAllocationFree pins the sharded fan-out's per-job
-// estimate: its scratch lives on the caller's stack.
-func TestEstimateConcurrentAllocationFree(t *testing.T) {
-	g := stats.NewRNG(21)
-	e := NewEstimator()
-	var fs []job.Features
-	var ys []float64
-	for i := 0; i < 400; i++ {
-		f := synthFeatures(g, job.Class(i%2))
-		fs = append(fs, f)
-		ys = append(ys, synthTruth(f))
-	}
-	e.Bootstrap(fs, ys)
-	e.Materialize()
-	probes := []job.Features{synthFeatures(g, job.Class(0)), synthFeatures(g, job.Class(4))}
-	if !e.perClass[0].wellDeterminedRead() || e.perClass[4].wellDeterminedRead() {
-		t.Fatal("probes must cover a class model and the global model")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range probes {
-			_ = e.EstimateConcurrent(f)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EstimateConcurrent allocates %v times per call pair, want 0", allocs)
-	}
 }
 
 // TestVersionCoversClassEligibility pins the Version contract across the

@@ -190,7 +190,7 @@ func TestPreparePanicReRaised(t *testing.T) {
 	}
 	e.Refit()
 	for _, m := range e.perClass {
-		m.pendingN = len(m.ys) + 1 // the fit indexes past the window
+		m.xd = nil // the fit slices past an empty feature slab
 	}
 	before := runtime.NumGoroutine()
 	var got any

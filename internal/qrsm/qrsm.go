@@ -27,13 +27,9 @@ var ErrNotFitted = errors.New("qrsm: model has not been fitted")
 // ErrTooFewSamples is returned by Fit when observations < basis size.
 var ErrTooFewSamples = errors.New("qrsm: not enough samples to fit")
 
-// stackDim bounds the feature dimension whose concurrent-prediction scratch
-// lives on the stack (the estimator's document features have 9), and
-// stackBasis is its basis size.
-const (
-	stackDim   = 12
-	stackBasis = 1 + stackDim + stackDim*(stackDim-1)/2 + stackDim
-)
+// stackDim bounds the feature dimension whose standardized copy lives on
+// the evaluating caller's stack (the estimator's document features have 9).
+const stackDim = 12
 
 // BasisSize returns the number of terms in the full quadratic basis for dim
 // input features: intercept + linear + pairwise interactions + squares.
@@ -48,11 +44,15 @@ type Model struct {
 	lambda     float64
 	maxSamples int
 
-	// Training pairs. Feature vectors are stored flat (sample i occupies
+	// Training window. Feature vectors are stored flat (sample i occupies
 	// xd[i*dim : (i+1)*dim]): one slab grown amortized instead of one copy
-	// allocation per Observe, and the fit loops scan contiguously.
-	xd []float64
-	ys []float64
+	// allocation per Observe, and the fit loops scan contiguously. total
+	// counts every observation ever made; the window holds the last
+	// len(ys) of them. A fit's window is named by the total at its
+	// request: the maxSamples observations before it, or all of them.
+	xd    []float64
+	ys    []float64
+	total int
 
 	fitted bool
 	mean   []float64
@@ -60,39 +60,28 @@ type Model struct {
 	coef   []float64
 
 	// R² and RMSE of the active fit. diagN > 0 means they are still owed
-	// over the first diagN samples: unbounded windows compute them on first
-	// read, since those samples and the fit's mean, scale and coef stay
-	// intact until the next successful fit replaces the debt. Windowed
-	// models compute them at fit time, because Observe slides the samples.
+	// over the window ending at observation diagN: they are computed on
+	// first read, or by Observe before it evicts a sample of that window.
 	r2    float64
 	rmse  float64
 	diagN int
 
-	// dirty is set by Observe and cleared by Fit: a fit over an unchanged
-	// window reproduces the previous result exactly, so Fit skips the
-	// factorization and replays its outcome. This makes the estimator's
-	// periodic "refit everything" cadence cheap for quiet per-class models.
-	dirty      bool
 	fitDone    bool // at least one fit attempt since construction
-	fitN       int  // samples covered by the last fit attempt
+	fitN       int  // window of the last fit attempt
 	lastFitErr error
 	fits       int // factorizations run, inherited by clones
 
-	// Deferred-fit state (RequestFit): a requested fit is only materialized
-	// when an accessor can observe its outcome. pendingN snapshots the
-	// window length at request time so the materialized fit reproduces the
-	// eager fit bit for bit even if observations arrived since.
+	// Requested-fit state (RequestFit): a requested fit is materialized
+	// when an accessor can observe its outcome, or when Observe is about to
+	// evict a sample of its window. pendingN names that window, so the
+	// materialized fit covers exactly the samples of the request.
 	pending  bool
 	pendingN int
 
-	// Scratch reused across Fit/Predict calls; the model is single-threaded
-	// by design (Observe already mutates shared state), so this is safe.
-	// The workspace owns the design matrix: fit assembles the basis straight
-	// into the factorization's buffer.
-	zbuf []float64 // standardized features
-	bbuf []float64 // expanded basis row
-	std  []float64 // a fit's candidate mean and scale, committed on success
-	ws   linalg.Workspace
+	// Fit scratch. The workspace owns the design matrix: fit assembles the
+	// basis straight into the factorization's buffer.
+	std []float64 // a fit's candidate mean and scale, committed on success
+	ws  linalg.Workspace
 }
 
 // Option configures a Model.
@@ -155,102 +144,60 @@ func (m *Model) wellSampled() bool {
 	return len(m.ys) >= 2*BasisSize(m.dim)
 }
 
-// Observe records a training pair. The feature slice is copied.
+// Observe records a training pair. The feature slice is copied. On a full
+// window it first settles a requested fit and owed diagnostics, which
+// cover the oldest sample, and then evicts that sample.
 func (m *Model) Observe(x []float64, y float64) {
 	if len(x) != m.dim {
 		panic(fmt.Sprintf("qrsm: observation dim %d, want %d", len(x), m.dim))
 	}
-	m.xd = append(m.xd, x...)
-	m.ys = append(m.ys, y)
-	if m.maxSamples > 0 && len(m.ys) > m.maxSamples {
+	if m.maxSamples > 0 && len(m.ys) == m.maxSamples {
+		m.materialize()
+		m.computeDiagnostics()
 		// Copy down instead of reslicing so the backing arrays stop growing
 		// once the window is full.
-		drop := len(m.ys) - m.maxSamples
-		m.xd = m.xd[:copy(m.xd, m.xd[drop*m.dim:])]
-		m.ys = m.ys[:copy(m.ys, m.ys[drop:])]
+		m.xd = m.xd[:copy(m.xd, m.xd[m.dim:])]
+		m.ys = m.ys[:copy(m.ys, m.ys[1:])]
 	}
-	m.dirty = true
+	m.xd = append(m.xd, x...)
+	m.ys = append(m.ys, y)
+	m.total++
 }
 
-// sample returns the i-th retained feature vector (a view into the slab).
-func (m *Model) sample(i int) []float64 {
-	return m.xd[i*m.dim : (i+1)*m.dim]
-}
-
-// basisInto expands a standardized feature vector into the quadratic basis,
-// writing into out (length BasisSize(len(z))): intercept, linear terms,
-// pairwise interactions, squares.
-func basisInto(z, out []float64) {
-	dim := len(z)
-	out[0] = 1
-	copy(out[1:1+dim], z)
-	k := 1 + dim
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			out[k] = z[i] * z[j]
-			k++
-		}
+// window returns the retained samples of the window ending at observation
+// end, which Observe keeps whole until its fit and diagnostics are settled.
+func (m *Model) window(end int) (xs, ys []float64) {
+	n := end
+	if m.maxSamples > 0 {
+		n = min(n, m.maxSamples)
 	}
-	for i := 0; i < dim; i++ {
-		out[k] = z[i] * z[i]
-		k++
-	}
-}
-
-// standardizeInto centers and scales x into z (length m.dim).
-func (m *Model) standardizeInto(x, z []float64) {
-	for i := range z {
-		z[i] = (x[i] - m.mean[i]) / m.scale[i]
-	}
-}
-
-// scratch returns the reusable standardize/basis buffers, allocating them on
-// first use.
-func (m *Model) scratch() ([]float64, []float64) {
-	if m.zbuf == nil {
-		m.zbuf = make([]float64, m.dim)
-		m.bbuf = make([]float64, BasisSize(m.dim))
-	}
-	return m.zbuf, m.bbuf
+	hi := end - (m.total - len(m.ys))
+	return m.xd[(hi-n)*m.dim : hi*m.dim], m.ys[hi-n : hi]
 }
 
 // Fit solves for the coefficients over all retained observations. It
 // requires at least BasisSize(dim) samples.
 func (m *Model) Fit() error {
-	m.pending = false
-	if !m.dirty && m.fitDone {
-		// Unchanged training window: the factorization would reproduce the
-		// previous coefficients (and error) bit for bit. Replay the outcome.
-		return m.lastFitErr
-	}
-	err := m.fit(len(m.ys))
-	m.dirty = false
-	m.fitDone = true
-	m.fitN = len(m.ys)
-	m.lastFitErr = err
-	return err
+	m.RequestFit()
+	m.materialize()
+	return m.lastFitErr
 }
 
 // RequestFit schedules a fit over the current training window without
 // paying for the factorization now: the fit materializes lazily on the
 // first accessor that could observe its outcome (Fitted, WellDetermined on
 // a well-sampled model, Predict, PredictClamped, R2, RMSE, Coefficients, or
-// Fit). Requests
+// Fit), or when Observe is about to evict one of its samples. Requests
 // between two consultations collapse into the latest one — exactly the
 // fits an eager caller would have computed and then overwritten — which is
 // what makes a fixed refit cadence nearly free for models that are rarely
-// consulted. The window length is snapshotted at request time, so the
+// consulted. On a full window every Observe evicts a sample of the
+// request, so there each request runs at the next observation and none
+// collapse. The request names its window by the observation count, so the
 // deferred fit covers precisely the samples an eager fit would have seen.
-//
-// Windowed models (WithWindow) fit eagerly instead: once the window
-// slides, the snapshot this request names could no longer be reconstructed.
 func (m *Model) RequestFit() {
-	if m.maxSamples > 0 {
-		_ = m.Fit()
-		return
-	}
 	m.pending = true
-	m.pendingN = len(m.ys)
+	m.pendingN = m.total
 }
 
 // fitPending reports whether materialize would factor: a fit is requested
@@ -259,32 +206,28 @@ func (m *Model) fitPending() bool {
 	return m.pending && !(m.fitDone && m.pendingN == m.fitN)
 }
 
-// materialize runs a deferred RequestFit, if one is outstanding.
+// materialize runs a requested fit, if one is outstanding. A request for
+// the window the last fit attempt saw replays that attempt's outcome, which
+// refitting would reproduce bit for bit.
 func (m *Model) materialize() {
 	if !m.pending {
 		return
 	}
 	m.pending = false
-	n := m.pendingN
-	if m.fitDone && n == m.fitN {
-		// The append-only window at length n is the window the last fit
-		// attempt saw; refitting would replay the same outcome bit for bit.
-		m.dirty = len(m.ys) > n
+	if m.fitDone && m.pendingN == m.fitN {
 		return
 	}
-	m.lastFitErr = m.fit(n)
+	m.lastFitErr = m.fit(m.pendingN)
 	m.fitDone = true
-	m.fitN = n
-	// Samples observed after the snapshot still await a future fit.
-	m.dirty = len(m.ys) > n
+	m.fitN = m.pendingN
 }
 
-// fit solves over the first n retained observations (the full window for
-// eager fits, the request-time snapshot for deferred ones). The window's
-// mean and scale go to scratch first and replace the active fit's only
-// when the solve succeeds: a failed fit leaves the previous fit whole.
-func (m *Model) fit(n int) error {
-	p := BasisSize(m.dim)
+// fit solves over the window ending at observation end. The window's mean
+// and scale go to scratch first and replace the active fit's only when the
+// solve succeeds: a failed fit leaves the previous fit whole.
+func (m *Model) fit(end int) error {
+	xs, ys := m.window(end)
+	n, p := len(ys), BasisSize(m.dim)
 	if n < p {
 		return fmt.Errorf("%w: have %d, need %d", ErrTooFewSamples, n, p)
 	}
@@ -295,12 +238,12 @@ func (m *Model) fit(n int) error {
 	for j := 0; j < m.dim; j++ {
 		var s float64
 		for i := 0; i < n; i++ {
-			s += m.xd[i*m.dim+j]
+			s += xs[i*m.dim+j]
 		}
 		mean[j] = s / float64(n)
 		var v float64
 		for i := 0; i < n; i++ {
-			d := m.xd[i*m.dim+j] - mean[j]
+			d := xs[i*m.dim+j] - mean[j]
 			v += d * d
 		}
 		scale[j] = math.Sqrt(v / float64(n))
@@ -309,9 +252,9 @@ func (m *Model) fit(n int) error {
 		}
 	}
 	a, stride := m.ws.Design(n, p)
-	m.designInto(a, stride, n, mean, scale)
+	m.designInto(a, stride, xs, n, mean, scale)
 	m.fits++
-	coef, err := m.ws.RidgeSolve(m.ys[:n], m.lambda)
+	coef, err := m.ws.RidgeSolve(ys, m.lambda)
 	if err != nil {
 		return fmt.Errorf("qrsm: fit failed: %w", err)
 	}
@@ -323,19 +266,16 @@ func (m *Model) fit(n int) error {
 	copy(m.scale, scale)
 	m.coef = append(m.coef[:0], coef...) // the workspace owns coef's backing
 	m.fitted = true
-	m.diagN = n
-	if m.maxSamples > 0 {
-		m.computeDiagnostics()
-	}
+	m.diagN = end
 	return nil
 }
 
-// designInto writes the quadratic basis of the first n samples,
+// designInto writes the quadratic basis of the n samples in xs,
 // standardized by mean and scale, into the column-major design a (column j
-// at a[j*stride:]), column by column in basisInto's term order. Every entry
-// is the same expression basisInto evaluates, so the design is
-// bit-identical to stacking basis rows.
-func (m *Model) designInto(a []float64, stride, n int, mean, scale []float64) {
+// at a[j*stride:]), column by column in the basis term order: intercept,
+// linear terms, pairwise interactions, squares. Each entry is the same
+// expression eval multiplies by its coefficient.
+func (m *Model) designInto(a []float64, stride int, xs []float64, n int, mean, scale []float64) {
 	col := func(j int) []float64 { return a[j*stride : j*stride+n] }
 	ones := col(0)
 	for i := range ones {
@@ -344,7 +284,7 @@ func (m *Model) designInto(a []float64, stride, n int, mean, scale []float64) {
 	for j := 0; j < m.dim; j++ {
 		zj := col(1 + j)
 		for i := range zj {
-			zj[i] = (m.xd[i*m.dim+j] - mean[j]) / scale[j]
+			zj[i] = (xs[i*m.dim+j] - mean[j]) / scale[j]
 		}
 	}
 	k := 1 + m.dim
@@ -367,27 +307,61 @@ func (m *Model) designInto(a []float64, stride, n int, mean, scale []float64) {
 	}
 }
 
+// eval evaluates the active fit at x: it standardizes x into a buffer on
+// the stack (the heap past stackDim features) and adds up each basis term
+// times its coefficient in the basis term order, starting from zero — the
+// products and the summation order of linalg.Dot over the expanded basis
+// row, so the result matches it bit for bit. It only reads the model, so
+// concurrent evaluations of a settled model are safe.
+func (m *Model) eval(x []float64) float64 {
+	var zs [stackDim]float64
+	var z []float64
+	if m.dim <= stackDim {
+		z = zs[:m.dim]
+	} else {
+		z = make([]float64, m.dim)
+	}
+	for i := range z {
+		z[i] = (x[i] - m.mean[i]) / m.scale[i]
+	}
+	c := m.coef
+	var s float64
+	s += 1 * c[0]
+	for i, zi := range z {
+		s += zi * c[1+i]
+	}
+	k := 1 + m.dim
+	for i, zi := range z {
+		for _, zj := range z[i+1:] {
+			s += zi * zj * c[k]
+			k++
+		}
+	}
+	for _, zi := range z {
+		s += zi * zi * c[k]
+		k++
+	}
+	return s
+}
+
 // computeDiagnostics evaluates the owed R² and RMSE of the active fit over
-// the diagN samples it covered; it does nothing when none are owed.
+// the window it covered; it does nothing when none are owed.
 func (m *Model) computeDiagnostics() {
-	n := m.diagN
-	if n == 0 {
+	if m.diagN == 0 {
 		return
 	}
+	xs, ys := m.window(m.diagN)
 	m.diagN = 0
+	n := len(ys)
 	var sse, sst, meanY float64
-	for _, y := range m.ys[:n] {
+	for _, y := range ys {
 		meanY += y
 	}
 	meanY /= float64(n)
-	z, b := m.scratch()
-	for i := 0; i < n; i++ {
-		m.standardizeInto(m.sample(i), z)
-		basisInto(z, b)
-		pred := linalg.Dot(b, m.coef)
-		d := m.ys[i] - pred
+	for i, y := range ys {
+		d := y - m.eval(xs[i*m.dim:(i+1)*m.dim])
 		sse += d * d
-		dy := m.ys[i] - meanY
+		dy := y - meanY
 		sst += dy * dy
 	}
 	m.rmse = math.Sqrt(sse / float64(n))
@@ -398,8 +372,9 @@ func (m *Model) computeDiagnostics() {
 	}
 }
 
-// Predict evaluates the fitted surface at x. Like Observe/Fit it is not
-// safe for concurrent use.
+// Predict evaluates the fitted surface at x. It materializes a requested
+// fit first, so it is safe for concurrent use only on a model with no fit
+// pending.
 func (m *Model) Predict(x []float64) (float64, error) {
 	m.materialize()
 	if !m.fitted {
@@ -408,10 +383,7 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if len(x) != m.dim {
 		panic(fmt.Sprintf("qrsm: predict dim %d, want %d", len(x), m.dim))
 	}
-	z, b := m.scratch()
-	m.standardizeInto(x, z)
-	basisInto(z, b)
-	return linalg.Dot(b, m.coef), nil
+	return m.eval(x), nil
 }
 
 // PredictClamped evaluates the surface and clamps the result to at least
@@ -423,65 +395,6 @@ func (m *Model) PredictClamped(x []float64, floor float64) float64 {
 		return floor
 	}
 	return v
-}
-
-// predictConcurrent evaluates the surface like Predict but with
-// caller-local buffers instead of the model's scratch, so any number of
-// goroutines may consult a *materialized* model simultaneously (sharded
-// placement rounds materialize first, then treat the estimator as
-// read-only for the duration of the fan-out). The arithmetic is identical
-// to Predict's, so the two paths agree bit for bit.
-//
-// The buffers live on the caller's stack when the model is at most stackDim
-// wide, so the sharded fan-out's per-job estimates allocate nothing.
-func (m *Model) predictConcurrent(x []float64) (float64, error) {
-	if m.pending {
-		// A deferred fit would mutate under the readers; that is a caller
-		// bug, not a recoverable condition.
-		panic("qrsm: concurrent predict on an unmaterialized model")
-	}
-	if !m.fitted {
-		return 0, ErrNotFitted
-	}
-	if len(x) != m.dim {
-		panic(fmt.Sprintf("qrsm: predict dim %d, want %d", len(x), m.dim))
-	}
-	var zs [stackDim]float64
-	var bs [stackBasis]float64
-	var z, b []float64
-	if m.dim <= stackDim {
-		z, b = zs[:m.dim], bs[:BasisSize(m.dim)]
-	} else {
-		z, b = make([]float64, m.dim), make([]float64, BasisSize(m.dim))
-	}
-	m.standardizeInto(x, z)
-	basisInto(z, b)
-	return linalg.Dot(b, m.coef), nil
-}
-
-// predictClampedConcurrent is PredictClamped over the concurrent-safe
-// prediction path.
-func (m *Model) predictClampedConcurrent(x []float64, floor float64) float64 {
-	v, err := m.predictConcurrent(x)
-	if err != nil || math.IsNaN(v) || v < floor {
-		return floor
-	}
-	return v
-}
-
-// fittedRead and wellDeterminedRead mirror Fitted/WellDetermined without
-// the materialize step, for concurrent readers of a materialized model.
-func (m *Model) fittedRead() bool {
-	if m.pending {
-		panic("qrsm: concurrent read of an unmaterialized model")
-	}
-	return m.fitted
-}
-
-// wellDeterminedRead checks the sample count first, like WellDetermined, so
-// a model that is not well determined may still hold a deferred fit.
-func (m *Model) wellDeterminedRead() bool {
-	return m.wellSampled() && m.fittedRead()
 }
 
 // R2 returns the coefficient of determination on the training window
@@ -522,8 +435,8 @@ func (m *Model) Coefficients() []float64 {
 
 // CloneInto copies the model's semantic state — training window, fit
 // results, deferred-fit bookkeeping — into dst, reusing dst's slabs where
-// capacity allows, and returns dst (allocating one when nil). Scratch
-// buffers are not copied; the clone lazily grows its own. Cloning a fitted
+// capacity allows, and returns dst (allocating one when nil). Fit scratch
+// is not copied; the clone lazily grows its own. Cloning a fitted
 // prototype is how the engine arena avoids re-running the bootstrap fit for
 // every pooled run.
 func (m *Model) CloneInto(dst *Model) *Model {
@@ -533,6 +446,7 @@ func (m *Model) CloneInto(dst *Model) *Model {
 	dst.dim, dst.lambda, dst.maxSamples = m.dim, m.lambda, m.maxSamples
 	dst.xd = append(dst.xd[:0], m.xd...)
 	dst.ys = append(dst.ys[:0], m.ys...)
+	dst.total = m.total
 	dst.fitted = m.fitted
 	if m.mean == nil {
 		// fit's nil check allocates mean/scale as a sized pair.
@@ -543,7 +457,7 @@ func (m *Model) CloneInto(dst *Model) *Model {
 	}
 	dst.coef = append(dst.coef[:0], m.coef...)
 	dst.r2, dst.rmse, dst.diagN = m.r2, m.rmse, m.diagN
-	dst.dirty, dst.fitDone, dst.fitN = m.dirty, m.fitDone, m.fitN
+	dst.fitDone, dst.fitN = m.fitDone, m.fitN
 	dst.lastFitErr, dst.fits = m.lastFitErr, m.fits
 	dst.pending, dst.pendingN = m.pending, m.pendingN
 	return dst

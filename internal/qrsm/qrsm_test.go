@@ -5,8 +5,42 @@ import (
 	"math"
 	"testing"
 
+	"cloudburst/internal/linalg"
 	"cloudburst/internal/stats"
 )
+
+// basisInto expands a standardized feature vector into the quadratic basis,
+// writing into out (length BasisSize(len(z))): intercept, linear terms,
+// pairwise interactions, squares. It is the oracle for the order in which
+// eval adds up terms and designInto lays out columns.
+func basisInto(z, out []float64) {
+	dim := len(z)
+	out[0] = 1
+	copy(out[1:1+dim], z)
+	k := 1 + dim
+	for i := 0; i < dim; i++ {
+		for j := i + 1; j < dim; j++ {
+			out[k] = z[i] * z[j]
+			k++
+		}
+	}
+	for i := 0; i < dim; i++ {
+		out[k] = z[i] * z[i]
+		k++
+	}
+}
+
+// dotOracle is the surface at x the long way: standardize, expand the
+// basis row, and take linalg.Dot with the coefficients.
+func dotOracle(m *Model, x []float64) float64 {
+	z := make([]float64, m.dim)
+	for i := range z {
+		z[i] = (x[i] - m.mean[i]) / m.scale[i]
+	}
+	b := make([]float64, BasisSize(m.dim))
+	basisInto(z, b)
+	return linalg.Dot(b, m.coef)
+}
 
 func TestBasisSize(t *testing.T) {
 	cases := []struct{ dim, want int }{
@@ -33,6 +67,78 @@ func TestBasisExpansion(t *testing.T) {
 		if b[i] != want[i] {
 			t.Fatalf("basis[%d] = %v, want %v", i, b[i], want[i])
 		}
+	}
+}
+
+// TestPredictKernelMatchesDot pins the one read path: Predict adds up term
+// times coefficient without building the basis row, and must equal
+// linalg.Dot of the basisInto row bit for bit. Random models of dimension
+// 1 to 13 (13 standardizes on the heap) get coefficients and features
+// spanning several orders of magnitude, so any reordering of the sum would
+// show. A fitted model per dimension checks R² and RMSE the same way.
+func TestPredictKernelMatchesDot(t *testing.T) {
+	g := stats.NewRNG(17)
+	wide := func() float64 { return g.Normal(0, 1) * math.Pow(10, g.Uniform(-3, 3)) }
+	cases := 0
+	for dim := 1; dim <= stackDim+1; dim++ {
+		m := New(dim)
+		m.mean, m.scale = make([]float64, dim), make([]float64, dim)
+		m.coef = make([]float64, BasisSize(dim))
+		m.fitted = true
+		for k := 0; k < 100; k++ {
+			for i := range m.mean {
+				m.mean[i], m.scale[i] = wide(), math.Abs(wide())+1e-3
+			}
+			for i := range m.coef {
+				m.coef[i] = wide()
+			}
+			x := make([]float64, dim)
+			for i := range x {
+				x[i] = wide()
+			}
+			got, err := m.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := dotOracle(m, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dim %d case %d: Predict %v, Dot of the basis row %v", dim, k, got, want)
+			}
+			cases++
+		}
+
+		fitted := New(dim)
+		ys := make([]float64, 2*BasisSize(dim))
+		for i := range ys {
+			x := make([]float64, dim)
+			for j := range x {
+				x[j] = g.Uniform(0, 10)
+			}
+			ys[i] = g.Normal(0, 1) + x[0]*x[dim-1]
+			fitted.Observe(x, ys[i])
+		}
+		if err := fitted.Fit(); err != nil {
+			t.Fatal(err)
+		}
+		var sse, sst, meanY float64
+		for _, y := range ys {
+			meanY += y
+		}
+		meanY /= float64(len(ys))
+		for i, y := range ys {
+			d := y - dotOracle(fitted, fitted.xd[i*dim:(i+1)*dim])
+			sse += d * d
+			dy := y - meanY
+			sst += dy * dy
+		}
+		if r2 := 1 - sse/sst; math.Float64bits(fitted.R2()) != math.Float64bits(r2) {
+			t.Fatalf("dim %d: R2 %v, oracle %v", dim, fitted.R2(), r2)
+		}
+		if rmse := math.Sqrt(sse / float64(len(ys))); math.Float64bits(fitted.RMSE()) != math.Float64bits(rmse) {
+			t.Fatalf("dim %d: RMSE %v, oracle %v", dim, fitted.RMSE(), rmse)
+		}
+	}
+	if cases != 1300 {
+		t.Fatalf("%d cases, want 1300", cases)
 	}
 }
 
@@ -169,8 +275,8 @@ func TestWindowDropsOldSamples(t *testing.T) {
 		t.Fatalf("NumSamples = %d, want 10", m.NumSamples())
 	}
 	// The retained samples must be the newest ones (15..24).
-	if m.sample(0)[0] != 15 {
-		t.Fatalf("oldest retained = %v, want 15", m.sample(0)[0])
+	if xs, _ := m.window(m.total); xs[0] != 15 {
+		t.Fatalf("oldest retained = %v, want 15", xs[0])
 	}
 }
 
