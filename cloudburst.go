@@ -148,7 +148,12 @@ type Options struct {
 	// Elastic external cloud (the paper's future-work scaling policy):
 	// when AutoscaleECMax > 0, the EC fleet starts at ECMachines (or 1)
 	// and boots/drains machines between 1 and AutoscaleECMax based on
-	// committed demand. Rental time is reported on the Report.
+	// committed demand. Two exceptions can leave it empty: EC revocation
+	// (Faults.ECRevocationMTBF) can take its last machine, and the
+	// replacement, booted after AutoscaleBootDelay, is rented only while
+	// the budget (Cost.Budget) still pays one burst charge, so a fleet
+	// emptied after the budget is spent stays empty to the end of the run.
+	// Rental time is reported on the Report.
 	AutoscaleECMax      int
 	AutoscaleBootDelay  float64 // default 120 s
 	AutoscaleTargetWait float64 // default 300 s

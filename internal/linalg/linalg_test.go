@@ -129,9 +129,16 @@ func TestDotAndNorm(t *testing.T) {
 	}
 }
 
+// solveWorkspace lays a out in a fresh workspace and solves it with ridge
+// strength lambda.
+func solveWorkspace(a *Matrix, b []float64, lambda float64) ([]float64, error) {
+	var ws Workspace
+	return layOut(&ws, a).RidgeSolve(b, lambda)
+}
+
 func TestQRSolveSquare(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveSquare(a, []float64{5, 10})
+	x, err := solveWorkspace(a, []float64{5, 10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +158,7 @@ func TestQRLeastSquaresOverdetermined(t *testing.T) {
 		a.Set(i, 1, x)
 		b[i] = 2 + 3*x
 	}
-	coef, err := LeastSquares(a, b)
+	coef, err := solveWorkspace(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +180,7 @@ func TestQRLeastSquaresResidualOptimality(t *testing.T) {
 		}
 		b[i] = rng.NormFloat64()
 	}
-	x, err := LeastSquares(a, b)
+	x, err := solveWorkspace(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,38 +198,31 @@ func TestQRLeastSquaresResidualOptimality(t *testing.T) {
 
 func TestQRSingularDetection(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // rank 1
-	_, err := LeastSquares(a, []float64{1, 2, 3})
+	_, err := solveWorkspace(a, []float64{1, 2, 3}, 0)
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-	if NewQR(a).FullRank() {
-		t.Fatal("rank-1 matrix reported full rank")
 	}
 }
 
 func TestQRZeroMatrix(t *testing.T) {
-	a := NewMatrix(3, 2)
-	if NewQR(a).FullRank() {
-		t.Fatal("zero matrix reported full rank")
-	}
-	_, err := LeastSquares(a, []float64{0, 0, 0})
-	if err == nil {
-		t.Fatal("expected singular error for zero matrix")
+	_, err := solveWorkspace(NewMatrix(3, 2), []float64{0, 0, 0}, 0)
+	if !errors.Is(err, ErrSingular) {
+		t.Fatalf("err = %v, want ErrSingular for a zero matrix", err)
 	}
 }
 
 func TestQRWideMatrixPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("wide matrix did not panic")
+			t.Fatal("wide least-squares system did not panic")
 		}
 	}()
-	NewQR(NewMatrix(2, 3))
+	solveWorkspace(NewMatrix(2, 3), []float64{1, 2}, 0)
 }
 
 func TestRidgeRecoversSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // rank 1
-	x, err := RidgeLeastSquares(a, []float64{1, 2, 3}, 1e-6)
+	x, err := solveWorkspace(a, []float64{1, 2, 3}, 1e-6)
 	if err != nil {
 		t.Fatalf("ridge failed on rank-deficient system: %v", err)
 	}
@@ -235,14 +235,21 @@ func TestRidgeRecoversSingular(t *testing.T) {
 	}
 }
 
+// TestRidgeZeroLambdaEqualsPlain: lambda = 0 is plain least squares, the
+// reference solve over A alone, bit for bit.
 func TestRidgeZeroLambdaEqualsPlain(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x1, _ := RidgeLeastSquares(a, []float64{5, 10}, 0)
-	x2, _ := LeastSquares(a, []float64{5, 10})
-	for i := range x1 {
-		if !almostEq(x1[i], x2[i], 1e-12) {
-			t.Fatal("lambda=0 should equal plain least squares")
-		}
+	a := FromRows([][]float64{{2, 1}, {1, 3}, {4, -1}})
+	b := []float64{5, 10, 2}
+	x1, err := solveWorkspace(a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x2, err := ridgeReference(a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(x1, x2) {
+		t.Fatalf("lambda=0 solve %v, want plain least squares %v", x1, x2)
 	}
 }
 
@@ -252,14 +259,14 @@ func TestRidgeNegativeLambdaPanics(t *testing.T) {
 			t.Fatal("negative lambda did not panic")
 		}
 	}()
-	RidgeLeastSquares(NewMatrix(2, 2), []float64{1, 2}, -1)
+	solveWorkspace(NewMatrix(2, 2), []float64{1, 2}, -1)
 }
 
 func TestRidgeShrinksCoefficients(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, 1}})
 	b := []float64{10, 10}
-	x0, _ := RidgeLeastSquares(a, b, 0)
-	x1, _ := RidgeLeastSquares(a, b, 1)
+	x0, _ := solveWorkspace(a, b, 0)
+	x1, _ := solveWorkspace(a, b, 1)
 	if !(Norm2(x1) < Norm2(x0)) {
 		t.Fatalf("ridge did not shrink: %v vs %v", Norm2(x1), Norm2(x0))
 	}
@@ -282,7 +289,7 @@ func TestSolveRoundTripProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 10
 		}
-		x, err := SolveSquare(a, b)
+		x, err := solveWorkspace(a, b, 0)
 		if err != nil {
 			return false
 		}

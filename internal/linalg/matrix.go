@@ -171,10 +171,14 @@ func Dot(a, b []float64) float64 {
 }
 
 // Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
+func Norm2(v []float64) float64 { return norm2(v, 1) }
+
+// norm2 returns the Euclidean norm of v[0], v[stride], v[2*stride], ...
+func norm2(v []float64, stride int) float64 {
 	// Scaled to avoid overflow on large magnitudes.
 	var scale, ssq float64 = 0, 1
-	for _, x := range v {
+	for i := 0; i < len(v); i += stride {
+		x := v[i]
 		if x == 0 {
 			continue
 		}

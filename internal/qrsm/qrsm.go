@@ -251,8 +251,8 @@ func (m *Model) fit(end int) error {
 			scale[j] = 1 // constant feature: center only
 		}
 	}
-	a, stride := m.ws.Design(n, p)
-	m.designInto(a, stride, xs, n, mean, scale)
+	a, ld := m.ws.Design(n, p)
+	m.designInto(a, ld, xs, n, mean, scale)
 	m.fits++
 	coef, err := m.ws.RidgeSolve(ys, m.lambda)
 	if err != nil {
@@ -271,20 +271,26 @@ func (m *Model) fit(end int) error {
 }
 
 // designInto writes the quadratic basis of the n samples in xs,
-// standardized by mean and scale, into the column-major design a (column j
-// at a[j*stride:]), column by column in the basis term order: intercept,
-// linear terms, pairwise interactions, squares. Each entry is the same
-// expression eval multiplies by its coefficient.
-func (m *Model) designInto(a []float64, stride int, xs []float64, n int, mean, scale []float64) {
-	col := func(j int) []float64 { return a[j*stride : j*stride+n] }
+// standardized by mean and scale, into the workspace's panel buffer a
+// (panels of ld rows, see linalg.PanelOffset), column by column in the
+// basis term order: intercept, linear terms, pairwise interactions,
+// squares. Each entry is the same expression eval multiplies by its
+// coefficient.
+func (m *Model) designInto(a []float64, ld int, xs []float64, n int, mean, scale []float64) {
+	const w = linalg.PanelWidth
+	// col(j)[w*i] is row i of column j.
+	col := func(j int) []float64 {
+		off := linalg.PanelOffset(j, ld)
+		return a[off : off+w*(n-1)+1]
+	}
 	ones := col(0)
-	for i := range ones {
-		ones[i] = 1
+	for r := 0; r < len(ones); r += w {
+		ones[r] = 1
 	}
 	for j := 0; j < m.dim; j++ {
 		zj := col(1 + j)
-		for i := range zj {
-			zj[i] = (xs[i*m.dim+j] - mean[j]) / scale[j]
+		for i := 0; i < n; i++ {
+			zj[w*i] = (xs[i*m.dim+j] - mean[j]) / scale[j]
 		}
 	}
 	k := 1 + m.dim
@@ -292,7 +298,7 @@ func (m *Model) designInto(a []float64, stride int, xs []float64, n int, mean, s
 		zi := col(1 + i)
 		for j := i + 1; j < m.dim; j++ {
 			zj, out := col(1+j), col(k)
-			for r := range out {
+			for r := 0; r < len(out); r += w {
 				out[r] = zi[r] * zj[r]
 			}
 			k++
@@ -300,7 +306,7 @@ func (m *Model) designInto(a []float64, stride int, xs []float64, n int, mean, s
 	}
 	for i := 0; i < m.dim; i++ {
 		zi, out := col(1+i), col(k)
-		for r := range out {
+		for r := 0; r < len(out); r += w {
 			out[r] = zi[r] * zi[r]
 		}
 		k++
