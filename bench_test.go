@@ -109,7 +109,7 @@ func benchRun(b *testing.B, s SchedulerName, bucket BucketName) {
 
 // BenchmarkRunVerify prices the checking modes on the BenchmarkRunOp run:
 // Plain, Verify (the runtime invariant checker watches every event) and
-// Audit (the stream is recorded and Report.Audit replays it).
+// Audit (the auditor folds every event and Report.Audit finishes it).
 func BenchmarkRunVerify(b *testing.B) {
 	modes := []struct {
 		name          string

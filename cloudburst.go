@@ -193,8 +193,10 @@ type Options struct {
 	// trace.go: NewTraceRecorder, NewJSONLTracer, MultiTracer). Nil keeps
 	// tracing off with zero simulation-path cost.
 	Trace Tracer
-	// Audit additionally records the stream in memory so Report.Audit can
-	// independently recompute the SLA metrics after the run.
+	// Audit attaches the independent SLA auditor, which folds the stream
+	// as the run emits it so Report.Audit can recompute the SLA metrics
+	// afterwards. It keeps per-job indexes, not the events; to keep those,
+	// set Trace to a NewTraceRecorder.
 	Audit bool
 	// Verify attaches the runtime invariant checker to the run: every
 	// emitted event is audited against the simulation's structural
@@ -541,12 +543,7 @@ func RunContext(ctx context.Context, o Options) (*Report, error) {
 		return nil, err
 	}
 	cfg := o.engineConfig()
-	var rec *TraceRecorder
-	tracer := o.Trace
-	if o.Audit {
-		rec = NewTraceRecorder()
-		tracer = MultiTracer(tracer, rec)
-	}
+	tracer, aud := o.tracer()
 	var chk *invariant.Checker
 	if o.Verify {
 		chk = invariant.New()
@@ -562,7 +559,7 @@ func RunContext(ctx context.Context, o Options) (*Report, error) {
 			return nil, &VerifyError{Violations: toViolations(vs), Total: chk.Total()}
 		}
 	}
-	return newReport(o, res, rec), nil
+	return newReport(o, res, aud), nil
 }
 
 // Sweep expands the grid described by spec — schedulers × buckets × network

@@ -57,7 +57,7 @@ func main() {
 		ticket    = flag.Float64("ticket", 0, "also report how a fixed completion promise of this many seconds fared")
 		traceOut  = flag.String("trace", "", "stream the run's event trace to this file as JSON lines")
 		chromeOut = flag.String("chrome-trace", "", "write the run's timeline to this file in Chrome trace-event format (open in chrome://tracing)")
-		audit     = flag.Bool("audit", false, "replay the event trace through the independent SLA auditor and print its summary")
+		audit     = flag.Bool("audit", false, "fold the event stream through the independent SLA auditor and print its summary")
 		verify    = flag.Bool("verify", false, "audit every event against the runtime invariant checker; fail on any violation (about 1.5x slower)")
 
 		ecRate     = flag.Float64("ec-rate", 0, "on-demand EC rental rate ($ per machine-hour, 0 = pricing off)")
@@ -226,9 +226,14 @@ func main() {
 		jsonl = cloudburst.NewJSONLTracer(f)
 		opts.Trace = jsonl
 	}
-	// The Chrome exporter and the auditor both replay the full stream, so
-	// either one needs the run recorded.
-	opts.Audit = *audit || *chromeOut != ""
+	// The Chrome exporter renders the whole stream, so it needs the run
+	// recorded; the auditor folds the stream live.
+	var rec *cloudburst.TraceRecorder
+	if *chromeOut != "" {
+		rec = cloudburst.NewTraceRecorder()
+		opts.Trace = cloudburst.MultiTracer(opts.Trace, rec)
+	}
+	opts.Audit = *audit
 
 	report, err := cloudburst.Run(opts)
 	if jsonl != nil {
@@ -240,7 +245,7 @@ func main() {
 		fatal(err)
 	}
 	if *chromeOut != "" {
-		if err := writeChromeTrace(*chromeOut, report.TraceEvents()); err != nil {
+		if err := writeChromeTrace(*chromeOut, rec.Events()); err != nil {
 			fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -278,6 +280,93 @@ func TestAuditEmptyAndDeliveryFree(t *testing.T) {
 	}
 	if a.OK() {
 		t.Fatal("delivery-free stream audited clean")
+	}
+}
+
+// TestAuditBoundsDecodedStreams feeds the auditor streams whose numbers,
+// not their length, would size its work: a delivery far in the future
+// makes the OO grid huge, and past t = 1e18 the step falls below the float
+// spacing so the grid never ends; a RunConfigured fleet of a billion EC
+// machines costs nothing until its machines act.
+func TestAuditBoundsDecodedStreams(t *testing.T) {
+	cfg := Event{Type: RunConfigured, ICMachines: 1, ECMachines: 1}
+	for _, d := range []struct{ arrival, end float64 }{{0, 1e8}, {0, 1e19}, {1e19, 1e19}} {
+		evs := []Event{cfg, {Type: JobDelivered, T: d.end, Arrival: d.arrival}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := AuditEvents(evs, AuditOptions{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("arrival %g, delivery %g: audit allocated %d bytes", d.arrival, d.end, got)
+		}
+		if a.OOSeries != nil || len(a.Issues) != 1 || !strings.Contains(a.Issues[0], "OO grid") {
+			t.Errorf("arrival %g, delivery %g: %d OO points, issues %v", d.arrival, d.end, len(a.OOSeries), a.Issues)
+		}
+	}
+
+	evs := healthyStream()
+	evs[0].ECMachines, evs[0].Autoscale = 1e9, true
+	a, err := AuditEvents(evs, AuditOptions{OOSampleInterval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The whole fleet is rented from t=0 to the makespan end at t=20.
+	if want := 5 / (1e9 * 20.0); !a.OK() || a.ECUtil != want {
+		t.Fatalf("EC util %v, want %v; issues %v", a.ECUtil, want, a.Issues)
+	}
+}
+
+// TestAuditorReadsMidStream reads an Auditor while it folds: each read is
+// a fresh audit that later events do not change, and the final read equals
+// the replay of the whole stream.
+func TestAuditorReadsMidStream(t *testing.T) {
+	// Three duplicate RunConfigured events are fold issues that leave the
+	// fold's issue list with spare capacity; the open compute interval is
+	// the one issue a read appends.
+	evs := healthyStream()
+	for i := 0; i < 3; i++ {
+		evs = append(evs, Event{Type: RunConfigured, T: 20})
+	}
+	evs = append(evs, Event{Type: ComputeStart, T: 25, Cluster: "ic", Machine: 0})
+	au := NewAuditor(AuditOptions{OOSampleInterval: 5})
+	for _, ev := range evs {
+		au.Emit(ev)
+	}
+	mid, err := au.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := au.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mid.Issues) != 4 || !reflect.DeepEqual(mid, again) {
+		t.Fatalf("reads differ or miss issues:\n%s\n%s", mid.Summary(), again.Summary())
+	}
+	midIssues := append([]string(nil), mid.Issues...)
+	rest := []Event{
+		{Type: ComputeEnd, T: 26, Cluster: "ic", Machine: 0},
+		{Type: RunConfigured, T: 30},
+	}
+	for _, ev := range rest {
+		au.Emit(ev)
+	}
+	if !reflect.DeepEqual(mid.Issues, midIssues) {
+		t.Fatalf("later events rewrote an earlier read's issues:\n%q\n%q", midIssues, mid.Issues)
+	}
+	final, err := au.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AuditEvents(append(evs, rest...), AuditOptions{OOSampleInterval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(final, want) {
+		t.Fatalf("fold differs from replay:\n%s\n%s", final.Summary(), want.Summary())
 	}
 }
 

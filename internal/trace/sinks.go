@@ -6,8 +6,9 @@ import (
 	"io"
 )
 
-// Recorder is an in-memory sink: it retains every event in emission order.
-// It is the substrate for the auditor and the Chrome exporter.
+// Recorder is an in-memory sink: it retains every event in emission order,
+// for the Chrome exporter or a later AuditEvents. The Auditor folds a live
+// stream without one.
 type Recorder struct {
 	events []Event
 }

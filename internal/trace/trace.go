@@ -5,9 +5,9 @@
 //
 //   - sinks (an in-memory Recorder, a JSONL exporter, a Chrome trace-event
 //     exporter for chrome://tracing / Perfetto), and
-//   - an independent SLA auditor (audit.go) that replays the stream and
-//     recomputes the paper's metrics without trusting the engine's own
-//     accounting.
+//   - an independent SLA auditor (audit.go) that folds the stream, live or
+//     recorded, and recomputes the paper's metrics without trusting the
+//     engine's own accounting.
 //
 // Performance contract: emitters compile the tracer into a Mask once per
 // run (MaskFor) and guard every emit point with a single bit test, so with

@@ -8,6 +8,7 @@ import (
 	"cloudburst/internal/engine"
 	"cloudburst/internal/sla"
 	"cloudburst/internal/stats"
+	"cloudburst/internal/trace"
 )
 
 // Point is one sample of a report series.
@@ -84,10 +85,10 @@ type Report struct {
 
 	opts Options
 	res  *engine.Result
-	rec  *TraceRecorder // non-nil when the run recorded its event stream
+	aud  *trace.Auditor // non-nil when Options.Audit folded the run's stream
 }
 
-func newReport(o Options, res *engine.Result, rec *TraceRecorder) *Report {
+func newReport(o Options, res *engine.Result, aud *trace.Auditor) *Report {
 	peaks, stall, maxPeak, valleys := res.Records.InOrderStats()
 	return &Report{
 		Scheduler:        o.Scheduler,
@@ -124,32 +125,34 @@ func newReport(o Options, res *engine.Result, rec *TraceRecorder) *Report {
 		CommitRetries:    res.CommitRetries,
 		opts:             o,
 		res:              res,
-		rec:              rec,
+		aud:              aud,
 	}
 }
 
-// TraceEvents returns the recorded event stream in emission order, or nil
-// when the run was not recorded (Options.Audit unset).
-func (r *Report) TraceEvents() []TraceEvent {
-	if r.rec == nil {
-		return nil
+// tracer returns the run's event sink: Options.Trace, joined by a live
+// auditor on the report's OO settings when Options.Audit is set.
+func (o Options) tracer() (Tracer, *trace.Auditor) {
+	if !o.Audit {
+		return o.Trace, nil
 	}
-	return r.rec.Events()
-}
-
-// Audit replays the recorded event stream and independently recomputes the
-// SLA metrics — makespan, speedup, burst ratio, utilization, OO series —
-// and verifies every burst's slack admission. It uses the report's OO
-// sampling settings, so a clean run's audit matches the Report within float
-// round-off. It errors unless the run was recorded (set Options.Audit).
-func (r *Report) Audit() (*Audit, error) {
-	if r.rec == nil {
-		return nil, errors.New("cloudburst: run was not recorded; set Options.Audit")
-	}
-	return AuditTraceEvents(r.rec.Events(), AuditOptions{
-		OOSampleInterval: r.opts.OOSampleInterval,
-		OOTolerance:      r.opts.OOToleranceJobs,
+	aud := trace.NewAuditor(AuditOptions{
+		OOSampleInterval: o.OOSampleInterval,
+		OOTolerance:      o.OOToleranceJobs,
 	})
+	return MultiTracer(o.Trace, aud), aud
+}
+
+// Audit finishes the audit the run's event stream was folded into: it
+// independently recomputes the SLA metrics — makespan, speedup, burst
+// ratio, utilization, OO series — and verifies every burst's slack
+// admission. It uses the report's OO sampling settings, so a clean run's
+// audit matches the Report within float round-off. It errors unless the
+// run was audited (set Options.Audit).
+func (r *Report) Audit() (*Audit, error) {
+	if r.aud == nil {
+		return nil, errors.New("cloudburst: run was not audited; set Options.Audit")
+	}
+	return r.aud.Audit()
 }
 
 // String renders a one-screen summary.

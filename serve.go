@@ -7,6 +7,7 @@ import (
 	"cloudburst/internal/engine"
 	"cloudburst/internal/invariant"
 	"cloudburst/internal/sched"
+	"cloudburst/internal/trace"
 	"cloudburst/internal/window"
 	"cloudburst/internal/workload"
 )
@@ -82,8 +83,8 @@ type ServiceOptions struct {
 	// Audit and Verify, which are taken from this call) comes from the
 	// blob, and DurationSec means additional serving time beyond what the
 	// checkpointed run already served. Windows delivered before the
-	// checkpoint are not redelivered; an Audit recorder likewise sees only
-	// the continuation.
+	// checkpoint are not redelivered; the Audit auditor likewise folds
+	// only the continuation.
 	Restore []byte
 }
 
@@ -291,13 +292,8 @@ func Serve(ctx context.Context, o ServiceOptions) (*Service, error) {
 	}
 
 	cfg := o.engineConfig()
-	var rec *TraceRecorder
-	tracer := o.Trace
-	if o.Audit {
-		rec = NewTraceRecorder()
-		tracer = MultiTracer(tracer, rec)
-	}
-	cfg.Tracer = tracer
+	var aud *trace.Auditor
+	cfg.Tracer, aud = o.tracer()
 
 	var chk *invariant.Checker
 	s := &Service{
@@ -323,11 +319,11 @@ func Serve(ctx context.Context, o ServiceOptions) (*Service, error) {
 		sc.Observer = chk
 	}
 
-	go s.run(ctx, cfg, schd, src, sc, o, rec, chk)
+	go s.run(ctx, cfg, schd, src, sc, o, aud, chk)
 	return s, nil
 }
 
-func (s *Service) run(ctx context.Context, cfg engine.Config, schd sched.Scheduler, src workload.Source, sc engine.StreamConfig, o ServiceOptions, rec *TraceRecorder, chk *invariant.Checker) {
+func (s *Service) run(ctx context.Context, cfg engine.Config, schd sched.Scheduler, src workload.Source, sc engine.StreamConfig, o ServiceOptions, aud *trace.Auditor, chk *invariant.Checker) {
 	defer close(s.done)
 	res, err := engine.Serve(ctx, cfg, schd, src, sc)
 	close(s.reports)
@@ -357,7 +353,7 @@ func (s *Service) run(ctx context.Context, cfg engine.Config, schd sched.Schedul
 		s.checkpoint = blob
 	}
 	s.rep = &ServeReport{
-		Report:      newReport(o.Options, res.Result, rec),
+		Report:      newReport(o.Options, res.Result, aud),
 		Fed:         res.Fed,
 		FedBatches:  res.FedBatches,
 		Windows:     res.Windows,

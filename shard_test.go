@@ -31,10 +31,11 @@ func shardGoldenConfigs() map[string]Options {
 func TestShardsOneBitIdenticalToMonolithic(t *testing.T) {
 	for name, base := range shardGoldenConfigs() {
 		t.Run(name, func(t *testing.T) {
+			recM, recS := NewTraceRecorder(), NewTraceRecorder()
 			mono := base
-			mono.Audit = true
+			mono.Trace = recM
 			sharded := base
-			sharded.Audit = true
+			sharded.Trace = recS
 			sharded.Shards = &ShardOptions{Count: 1}
 
 			if fp1, fp2 := mono.Fingerprint(), sharded.Fingerprint(); fp1 != fp2 {
@@ -56,7 +57,7 @@ func TestShardsOneBitIdenticalToMonolithic(t *testing.T) {
 				t.Fatalf("headline metrics diverged: %v/%v/%v vs %v/%v/%v",
 					rm.Makespan, rm.Speedup, rm.BurstRatio, rs.Makespan, rs.Speedup, rs.BurstRatio)
 			}
-			if !reflect.DeepEqual(rm.TraceEvents(), rs.TraceEvents()) {
+			if !reflect.DeepEqual(recM.Events(), recS.Events()) {
 				t.Fatal("Shards=1 event stream is not bit-identical to the monolithic run")
 			}
 		})
@@ -105,14 +106,14 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	run := func(procs int) []TraceEvent {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
+		rec := NewTraceRecorder()
 		o := fastOpts(OrderPreserving)
-		o.Audit = true
+		o.Trace = rec
 		o.Shards = &ShardOptions{Count: 4}
-		r, err := Run(o)
-		if err != nil {
+		if _, err := Run(o); err != nil {
 			t.Fatal(err)
 		}
-		return r.TraceEvents()
+		return rec.Events()
 	}
 	serial := run(1)
 	parallel := run(runtime.NumCPU())

@@ -11,10 +11,11 @@ import (
 // interval, probe, outage episode, autoscale action and delivery — to any
 // Tracer set on Options.Trace. The stream feeds three consumers: JSONL
 // export for offline analysis, a Chrome trace-event export for
-// chrome://tracing / Perfetto, and an independent SLA auditor that replays
-// the events and recomputes the paper's metrics without trusting the
-// engine's accounting. Tracing is strictly opt-in: with no tracer set, the
-// simulation hot path pays nothing.
+// chrome://tracing / Perfetto, and an independent SLA auditor
+// (Options.Audit) that folds the events as they are emitted and recomputes
+// the paper's metrics without trusting the engine's accounting. Tracing is
+// strictly opt-in: with no tracer set, the simulation hot path pays
+// nothing.
 
 // Tracer receives the event stream of a run. Implementations are called
 // synchronously from the single-threaded simulation loop.
@@ -26,8 +27,9 @@ type TraceEvent = trace.Event
 // TraceEventType identifies what a TraceEvent records.
 type TraceEventType = trace.EventType
 
-// TraceRecorder is an in-memory Tracer retaining every event; it is the
-// substrate for auditing and the Chrome exporter.
+// TraceRecorder is an in-memory Tracer retaining every event. Attach one
+// through Options.Trace to keep a run's events, for WriteChromeTrace or a
+// later AuditTraceEvents; Options.Audit does not need one.
 type TraceRecorder = trace.Recorder
 
 // JSONLTracer streams events as one JSON object per line.

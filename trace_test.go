@@ -3,6 +3,8 @@ package cloudburst
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -92,20 +94,21 @@ func TestAuditFromJSONLStream(t *testing.T) {
 	// Stream a seeded Op run to JSONL, read it back, and audit the decoded
 	// events: the round trip must lose nothing the auditor needs.
 	var buf bytes.Buffer
+	jsonl, rec := NewJSONLTracer(&buf), NewTraceRecorder()
 	o := auditOpts(OrderPreserving)
-	o.Trace = NewJSONLTracer(&buf)
+	o.Trace = MultiTracer(jsonl, rec)
 	r, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Trace.(*JSONLTracer).Close(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := ReadTraceJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := r.TraceEvents()
+	direct := rec.Events()
 	if len(events) != len(direct) {
 		t.Fatalf("JSONL stream has %d events, recorder %d", len(events), len(direct))
 	}
@@ -193,21 +196,34 @@ func TestTracingOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TraceEvents() != nil {
-		t.Fatal("untraced run recorded events")
+	if _, err := r.Audit(); err == nil {
+		t.Fatal("Audit on an unaudited run did not error")
+	}
+	// Recording is Options.Trace's job alone: a recorder sees the stream of
+	// an unaudited run, and the run still cannot be audited.
+	o := fastOpts(OrderPreserving)
+	rec := NewTraceRecorder()
+	o.Trace = rec
+	if r, err = Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() == 0 {
+		t.Fatal("recorder on Options.Trace saw no events")
 	}
 	if _, err := r.Audit(); err == nil {
-		t.Fatal("Audit on an unrecorded run did not error")
+		t.Fatal("Audit on a recorded but unaudited run did not error")
 	}
 }
 
 func TestTraceDeterminism(t *testing.T) {
 	run := func() []TraceEvent {
-		r, err := Run(auditOpts(OrderPreserving))
-		if err != nil {
+		rec := NewTraceRecorder()
+		o := auditOpts(OrderPreserving)
+		o.Trace = rec
+		if _, err := Run(o); err != nil {
 			t.Fatal(err)
 		}
-		return r.TraceEvents()
+		return rec.Events()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -217,5 +233,91 @@ func TestTraceDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("event %d differs between identical runs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestLiveAuditEqualsReplay pins the wiring of Options.Audit: the auditor
+// that folds a run's stream live must finish on exactly the audit a replay
+// of the same run's recording gives under the report's OO settings. Both
+// sides run the same Auditor.Emit, so this guards what the auditor is
+// attached to and how it is built; the checks themselves are guarded by
+// the audit tests above and in internal/trace.
+func TestLiveAuditEqualsReplay(t *testing.T) {
+	rows := []compFeature{
+		{"plain-op", func(*Options) {}, func(*Report, []TraceEvent) bool { return true }},
+		compResched,
+		compFaults,
+		{"cost-budget-autoscale", func(o *Options) {
+			o.Cost = &CostOptions{OnDemandRate: 0.10, Budget: 2}
+			compAutoscale.set(o)
+		}, func(r *Report, evs []TraceEvent) bool { return r.BudgetDenials > 0 && compAutoscale.fired(r, evs) }},
+		compShards,
+		{"extra-site-outages", func(o *Options) {
+			o.ExtraECSites = []ECSiteSpec{{Machines: 2}}
+			o.OutageMTBF = 900
+		}, func(r *Report, evs []TraceEvent) bool {
+			return r.SiteBursts[0] > 0 && hasEvent(evs, func(ev TraceEvent) bool { return ev.Type.String() == "OutageStart" })
+		}},
+		{"greedy-oo-settings", func(o *Options) {
+			o.Scheduler, o.OOToleranceJobs, o.OOSampleInterval = Greedy, 3, 45
+		}, func(r *Report, _ []TraceEvent) bool { oo := r.OOSeries(); return oo[1].T-oo[0].T == 45 }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			o := Options{WorkloadSeed: 3, NetSeed: 3}
+			row.set(&o)
+			rec := NewTraceRecorder()
+			o.Trace, o.Audit = rec, true
+			r, err := Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !row.fired(r, rec.Events()) {
+				t.Fatalf("the run did not exercise %s", row.name)
+			}
+			assertLiveAuditEqualsReplay(t, r, rec)
+		})
+	}
+	t.Run("serve-split", func(t *testing.T) {
+		// The continuation of a checkpoint-split serve replays its prefix
+		// silently; its auditor folds only what its recorder records.
+		const d1, d2 = 1700, 1900
+		first := ServiceOptions{
+			Options:     Options{WorkloadSeed: 3, NetSeed: 3},
+			WindowSec:   600,
+			DurationSec: d1, CheckpointAtEnd: true,
+		}
+		_, _, svc := serveAndWait(t, nil, first)
+		blob, err := svc.Checkpoint()
+		if err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		rec := NewTraceRecorder()
+		second, _, _ := serveAndWait(t, nil, ServiceOptions{
+			Options: Options{Trace: rec, Audit: true}, DurationSec: d2, Restore: blob,
+		})
+		assertLiveAuditEqualsReplay(t, second.Report, rec)
+	})
+}
+
+func assertLiveAuditEqualsReplay(t *testing.T, r *Report, rec *TraceRecorder) {
+	t.Helper()
+	live, err := r.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := AuditTraceEvents(rec.Events(), AuditOptions{
+		OOSampleInterval: r.opts.OOSampleInterval,
+		OOTolerance:      r.opts.OOToleranceJobs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two of the auditor's issue loops range over maps.
+	sort.Strings(live.Issues)
+	sort.Strings(replay.Issues)
+	if !reflect.DeepEqual(live, replay) {
+		t.Fatalf("live audit differs from the replay of its recording:\nlive   %s\nreplay %s",
+			live.Summary(), replay.Summary())
 	}
 }
