@@ -178,11 +178,13 @@ type Options struct {
 	Cost *CostOptions
 
 	// Shards, when non-nil with Count > 1, arms shared-state sharded
-	// scheduling: concurrent scheduler instances place disjoint partitions
-	// of each batch against an immutable cluster snapshot, with optimistic
-	// conflict detection and bounded re-placement at commit time (see
-	// ShardOptions). Nil or Count <= 1 keeps the monolithic path and its
-	// bit-identical traces.
+	// scheduling: scheduler instances place disjoint partitions of each
+	// batch against one cluster snapshot without seeing each other's
+	// decisions, with optimistic conflict detection and bounded
+	// re-placement at commit time (see ShardOptions). It models
+	// speculative placement; the shards run one after another, so it does
+	// not schedule faster. Nil or Count <= 1 keeps the monolithic path and
+	// its bit-identical traces.
 	Shards *ShardOptions
 
 	// Reporting.
@@ -203,7 +205,7 @@ type Options struct {
 	// invariants (clock monotonicity, byte conservation, bandwidth
 	// ceilings, slack admissions, OO monotonicity, single delivery), and
 	// the run fails with a *VerifyError if any is violated. It costs about
-	// 1.5x the wall-clock of an untraced run (1.25x-1.53x in
+	// 1.7x the wall-clock of an untraced run (1.4x-2.1x in
 	// BenchmarkRunVerify); intended for CI and debugging, not production
 	// sweeps.
 	Verify bool

@@ -15,9 +15,11 @@
 //	benchreport -compare BENCH.json BENCH.ci.json -ns-tol 2.0 -allocs-tol 0.15
 //
 // It exits nonzero when any benchmark present in both reports regresses
-// beyond tolerance. Allocations per op are effectively machine-independent,
-// so their tolerance is tight; wall time varies with hardware and load, so
-// its tolerance is loose — tune both to the stability of the environment.
+// beyond tolerance, or when a candidate benchmark has no baseline row: a
+// renamed or new benchmark must enter the baseline to be gated at all.
+// Allocations per op are effectively machine-independent, so their
+// tolerance is tight; wall time varies with hardware and load, so its
+// tolerance is loose — tune both to the stability of the environment.
 package main
 
 import (
@@ -201,7 +203,8 @@ func load(path string) (*Report, error) {
 }
 
 // compare reports regressions of cand against base, returning the failure
-// lines. A metric regresses when cand > base*(1+tol); a zero baseline
+// lines. A candidate benchmark missing from base fails: nothing gates it.
+// A metric regresses when cand > base*(1+tol); a zero baseline
 // ns/op is skipped (nothing meaningful to ratio against), and allocs/op is
 // gated only when both sides actually measured it — an absent metric means
 // the bench ran without -benchmem, not that it allocated nothing.
@@ -214,7 +217,8 @@ func compare(base, cand *Report, nsTol, allocsTol float64, out io.Writer) []stri
 	for _, c := range cand.Benchmarks {
 		b, ok := byName[c.Name]
 		if !ok {
-			fmt.Fprintf(out, "new       %-40s %12.0f ns/op", c.Name, c.NsPerOp)
+			failures = append(failures, fmt.Sprintf("%s: no baseline row to gate against", c.Name))
+			fmt.Fprintf(out, "MISSING   %-40s %12.0f ns/op", c.Name, c.NsPerOp)
 			if c.AllocsPerOp != nil {
 				fmt.Fprintf(out, " %10.0f allocs/op", *c.AllocsPerOp)
 			}

@@ -168,16 +168,20 @@ func TestCompare(t *testing.T) {
 		}
 	})
 
-	t.Run("new benchmark ignored", func(t *testing.T) {
+	t.Run("missing baseline fails", func(t *testing.T) {
+		// A renamed benchmark would otherwise escape the gate: its new name
+		// has no baseline row, so no tolerance applies to it.
 		cand := &Report{Benchmarks: []Benchmark{
-			{Name: "BenchmarkNew", NsPerOp: 1e9, AllocsPerOp: fp(1e6)},
+			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: fp(50)},
+			{Name: "BenchmarkNew", NsPerOp: 1, AllocsPerOp: fp(1)},
 		}}
 		var sb strings.Builder
-		if f := compare(base, cand, 0.5, 0.1, &sb); len(f) != 0 {
-			t.Fatalf("new benchmark should not fail the gate: %v", f)
+		f := compare(base, cand, 0.5, 0.1, &sb)
+		if len(f) != 1 || !strings.Contains(f[0], "BenchmarkNew") || !strings.Contains(f[0], "no baseline") {
+			t.Fatalf("failures = %v, want one missing-baseline failure for BenchmarkNew", f)
 		}
-		if !strings.Contains(sb.String(), "new") {
-			t.Error("new benchmark not reported")
+		if !strings.Contains(sb.String(), "MISSING") {
+			t.Errorf("missing baseline not reported:\n%s", sb.String())
 		}
 	})
 

@@ -243,7 +243,7 @@ func bootAfterEmpty(evs []TraceEvent) bool {
 // checkpoint to the fingerprint of the unsplit serve, and fire each
 // feature it names in the run or the unsplit serve. The faults × autoscale
 // row must also refill the fleet after revocations empty it. The shards
-// rows estimate through the fan-out's read-only path under the checker.
+// rows run the sharded placement rounds under the checker.
 func TestCompositionPairs(t *testing.T) {
 	// The features the pair rows do not cross: they only fire here.
 	others := compFeature{"extra site, budget and outages", func(o *Options) {

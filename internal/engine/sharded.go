@@ -2,28 +2,27 @@ package engine
 
 import (
 	"cloudburst/internal/job"
-	"cloudburst/internal/qrsm"
+	"cloudburst/internal/sched"
 	"cloudburst/internal/shard"
 	"cloudburst/internal/trace"
 	"cloudburst/internal/workload"
 )
 
 // onBatchSharded drives one batch through the shared-state placement path:
-// snapshot → concurrent speculative scheduling → deterministic commit →
-// re-place losers against a refreshed snapshot. After MaxRetries
+// snapshot → speculative scheduling, one shard after another → deterministic
+// commit → re-place losers against a refreshed snapshot. After MaxRetries
 // conflicted rounds the batch finishes with one serial round (conflict
 // detection off), so every job is always placed.
 func (e *Engine) onBatchSharded(b workload.Batch) {
 	pending := b.Jobs
 	for attempt := 1; len(pending) > 0; attempt++ {
 		e.epoch++
-		// The snapshot must be safe for concurrent reads: settle every fit
-		// an estimate can read (Estimate then only reads) and strip the
-		// memoizing EstimateJob, which writes the shared cache.
-		e.estimator.Prepare(qrsm.AllClasses)
+		// Each round arms the batch fit pass the way onBatch does.
+		if _, icOnly := e.sched.(sched.ICOnly); !icOnly {
+			e.prepArmed, e.prepJobs = true, pending
+		}
+		before := e.alloc.Peek()
 		st := e.state()
-		st.EstimateJob = nil
-		st.EstimateProc = e.estimator.Estimate
 		nShards := e.coord.Count()
 		detect := true
 		if attempt > e.coord.MaxRetries()+1 {
@@ -61,22 +60,9 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 			}
 		}
 
-		shard.CheckTempIDs(e.alloc.Peek())
-		fits := e.estimator.Factorizations()
-		outcomes := e.coord.Round(pending, snap, nShards, detect)
-		if e.estimator.Factorizations() != fits {
-			panic("engine: a QRSM fit ran inside the shard fan-out")
-		}
-
-		// Chunk IDs minted inside the round are shard-temporary; renumber
-		// them from the real allocator in deterministic merge order before
-		// any event mentions them.
-		for i := range outcomes {
-			if j := outcomes[i].D.Job; j.ID >= shard.TempIDBase {
-				j.ID = e.alloc.NextID()
-				e.chunks++
-			}
-		}
+		outcomes := e.coord.Round(pending, snap, nShards, detect, e.alloc)
+		e.prepArmed, e.prepJobs = false, nil
+		e.chunks += e.alloc.Peek() - before
 		e.total += len(outcomes) - len(pending)
 
 		var losers []*job.Job

@@ -198,7 +198,7 @@ func preparedEstimator(t *testing.T, g *stats.RNG) *Estimator {
 	return e
 }
 
-// TestEstimateConcurrentMatchesEstimate pins the sharded fan-out's reads:
+// TestEstimateConcurrentMatchesEstimate pins Estimate's read-only contract:
 // after Prepare of every class, Estimate only reads, so parallel readers
 // (the -race leg makes this a real concurrency check) agree bit for bit
 // with serial calls on every model-selection branch (well-determined class
@@ -245,9 +245,9 @@ func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrentAllocationFree pins the sharded fan-out's per-job
-// estimate on a prepared estimator: its scratch lives on the caller's
-// stack, on the class-model and the global-model branch alike.
+// TestEstimateConcurrentAllocationFree pins the per-job estimate on a
+// prepared estimator: its scratch lives on the caller's stack, on the
+// class-model and the global-model branch alike.
 func TestEstimateConcurrentAllocationFree(t *testing.T) {
 	g := stats.NewRNG(21)
 	e := preparedEstimator(t, g)

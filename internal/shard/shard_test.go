@@ -104,7 +104,7 @@ func newCoord(cfg shard.Config) *shard.Coordinator {
 func TestRoundSerialFallbackCommitsEverything(t *testing.T) {
 	c := newCoord(shard.Config{Count: 4, Seed: 1})
 	jobs := mkJobs(12)
-	outs := c.Round(jobs, snapshot([]int{0}), 1, false)
+	outs := c.Round(jobs, snapshot([]int{0}), 1, false, job.NewCounter(100))
 	if len(outs) != len(jobs) {
 		t.Fatalf("serial round returned %d outcomes for %d jobs", len(outs), len(jobs))
 	}
@@ -121,7 +121,7 @@ func TestRoundDetectsMachineCollisions(t *testing.T) {
 	// collisions are guaranteed.
 	c := newCoord(shard.Config{Count: 4, Seed: 1})
 	jobs := mkJobs(12)
-	outs := c.Round(jobs, snapshot([]int{100, 101}), 4, true)
+	outs := c.Round(jobs, snapshot([]int{100, 101}), 4, true, job.NewCounter(100))
 	if len(outs) != len(jobs) {
 		t.Fatalf("round returned %d outcomes for %d jobs", len(outs), len(jobs))
 	}
@@ -158,7 +158,7 @@ func TestRoundDisjointIsConflictFree(t *testing.T) {
 	for i := range free {
 		free[i] = 100 + i
 	}
-	outs := c.Round(jobs, snapshot(free), 4, true)
+	outs := c.Round(jobs, snapshot(free), 4, true, job.NewCounter(100))
 	claimed := map[int]bool{}
 	for _, o := range outs {
 		if !o.Won {
@@ -183,7 +183,7 @@ func TestRoundBudgetOverCommit(t *testing.T) {
 	snap.BudgetArmed = true
 	snap.Charge = func(estStd float64) float64 { return 1 }
 	snap.Remaining = 2.5 // room for two unit charges, not three
-	outs := c.Round(jobs, snap, 2, true)
+	outs := c.Round(jobs, snap, 2, true, job.NewCounter(100))
 	wins, budgetLosses := 0, 0
 	for _, o := range outs {
 		switch {
@@ -202,9 +202,9 @@ func TestRoundBudgetOverCommit(t *testing.T) {
 }
 
 // TestRoundMergeMatchesSerialPartitions is the coordinator-level metamorphic
-// property: with a disjoint slot partition, the concurrent round must produce
-// exactly the decisions each shard's scheduler would produce serially on its
-// partition — same totals to 1e-9 — across seeds and scheduler families.
+// property: with a disjoint slot partition, the round must produce exactly
+// the decisions fresh scheduler instances produce on the same partitions —
+// same totals to 1e-9 — across seeds and scheduler families.
 func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 	factories := map[string]func() sched.Scheduler{
 		"Greedy": func() sched.Scheduler { return sched.Greedy{} },
@@ -230,8 +230,8 @@ func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 				}
 				snap := snapshot([]int{100, 101, 102, 103})
 
-				// Concurrent round.
-				outs := c.Round(jobs, snap, n, true)
+				// Coordinated round.
+				outs := c.Round(jobs, snap, n, true, job.NewCounter(len(jobs)+1))
 				gotProc, gotEC := 0.0, 0
 				for _, o := range outs {
 					if !o.Won {
@@ -243,8 +243,8 @@ func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 					}
 				}
 
-				// Serial reference: fresh scheduler instances over the same
-				// hash partition, one at a time.
+				// Reference: fresh scheduler instances over the same hash
+				// partition, scheduled outside the coordinator.
 				parts := make([][]*job.Job, n)
 				p := c.Partitioner()
 				for _, j := range jobs {
@@ -279,7 +279,7 @@ func TestRoundMergeMatchesSerialPartitions(t *testing.T) {
 func TestRoundDeterministicAcrossRuns(t *testing.T) {
 	run := func() []shard.Outcome {
 		c := newCoord(shard.Config{Count: 4, Seed: 9})
-		return c.Round(mkJobs(16), snapshot([]int{100, 101, 102}), 4, true)
+		return c.Round(mkJobs(16), snapshot([]int{100, 101, 102}), 4, true, job.NewCounter(100))
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -291,14 +291,4 @@ func TestRoundDeterministicAcrossRuns(t *testing.T) {
 			t.Fatalf("outcome %d differs between identical rounds:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestCheckTempIDs(t *testing.T) {
-	shard.CheckTempIDs(1 << 27) // fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CheckTempIDs did not panic at the temp base")
-		}
-	}()
-	shard.CheckTempIDs(shard.TempIDBase)
 }

@@ -185,6 +185,17 @@ type delivery struct {
 	ec             bool
 }
 
+// admission is what the slack check reads of a job's EC admission: a
+// PlacementDecided, Rescheduled or JobRetried event that sent it to the EC.
+type admission struct {
+	t, estEC, threshold float64
+	gated               bool
+}
+
+func admissionOf(ev Event) admission {
+	return admission{t: ev.T, estEC: ev.EstEC, threshold: ev.Threshold, gated: ev.Gated}
+}
+
 // Auditor folds an event stream into the independent audit. It is a
 // Tracer, so it can watch a run live, and AuditEvents drives one over a
 // recorded stream; both therefore run the same checks. It keeps per-job
@@ -197,10 +208,10 @@ type Auditor struct {
 
 	cfg         *Event
 	tseq        float64
-	delivered   map[int]int   // seq → job ID of its first delivery
-	deliveries  []delivery    // first deliveries, in stream order
-	admissions  map[int]Event // job ID → latest EC admission event
-	movedToIC   map[int]bool  // job ID → stolen back after admission
+	delivered   map[int]int       // seq → job ID of its first delivery
+	deliveries  []delivery        // first deliveries, in stream order
+	admissions  map[int]admission // job ID → its latest EC admission
+	movedToIC   map[int]bool      // job ID → stolen back after admission
 	placements  int
 	uploadEnd   map[int]bool // job ID → an upload completed
 	downloadEnd map[int]bool // job ID → a download completed
@@ -242,7 +253,7 @@ func NewAuditor(opt AuditOptions) *Auditor {
 	return &Auditor{
 		opt:         opt.withDefaults(),
 		delivered:   make(map[int]int),
-		admissions:  make(map[int]Event),
+		admissions:  make(map[int]admission),
 		movedToIC:   make(map[int]bool),
 		uploadEnd:   make(map[int]bool),
 		downloadEnd: make(map[int]bool),
@@ -307,7 +318,7 @@ func (au *Auditor) Emit(ev Event) {
 			au.claims[k] = ev.JobID
 		}
 		if ev.Where == "EC" {
-			au.admissions[ev.JobID] = ev
+			au.admissions[ev.JobID] = admissionOf(ev)
 		}
 	case PlacementConflict:
 		a.Conflicts++
@@ -317,7 +328,7 @@ func (au *Auditor) Emit(ev Event) {
 	case Rescheduled:
 		switch ev.To {
 		case "EC":
-			au.admissions[ev.JobID] = ev
+			au.admissions[ev.JobID] = admissionOf(ev)
 			delete(au.movedToIC, ev.JobID)
 		case "IC":
 			au.movedToIC[ev.JobID] = true
@@ -327,7 +338,7 @@ func (au *Auditor) Emit(ev Event) {
 		// auditor verifies against the retry time; an ungated retry
 		// (download redo, IC resubmit) clears the stale threshold instead.
 		if ev.To == "EC" {
-			au.admissions[ev.JobID] = ev
+			au.admissions[ev.JobID] = admissionOf(ev)
 			delete(au.movedToIC, ev.JobID)
 		}
 	case JobFellBack:
@@ -587,15 +598,15 @@ func (au *Auditor) Audit() (*Audit, error) {
 				a.issuef("bursted job %d has no completed download", d.job)
 			}
 		}
-		if !adm.Gated {
+		if !adm.gated {
 			continue // no verifiable threshold (e.g. forced placements)
 		}
 		c := SlackCheck{
 			JobID:     d.job,
 			Seq:       d.seq,
-			EstEC:     adm.EstEC,
-			Threshold: adm.Threshold,
-			Realized:  d.t - adm.T,
+			EstEC:     adm.estEC,
+			Threshold: adm.threshold,
+			Realized:  d.t - adm.t,
 		}
 		a.Checked++
 		if c.EstEC > c.Threshold+opt.Epsilon {

@@ -100,8 +100,8 @@ func TestShardedDisjointMetricsStable(t *testing.T) {
 }
 
 // TestShardedWorkerInvariance pins the determinism contract: the merged
-// event stream must not depend on how the runtime schedules the shard
-// goroutines.
+// event stream must not depend on GOMAXPROCS, which sizes the engine's
+// concurrent fit passes.
 func TestShardedWorkerInvariance(t *testing.T) {
 	run := func(procs int) []TraceEvent {
 		prev := runtime.GOMAXPROCS(procs)
@@ -123,8 +123,8 @@ func TestShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestShardedStressTinyCluster runs GOMAXPROCS shards against a tiny
-// cluster — maximum contention per free slot — under the invariant checker.
-// The race leg (-race -short) exercises the concurrent fan-out for real.
+// cluster — maximum contention per free slot — under the invariant checker
+// and the auditor.
 func TestShardedStressTinyCluster(t *testing.T) {
 	shards := runtime.GOMAXPROCS(0)
 	if shards < 2 {

@@ -9,14 +9,16 @@ import (
 	"cloudburst/internal/sweep"
 )
 
-// ShardOptions arms shared-state sharded scheduling: Count concurrent
-// scheduler instances each place a partition of every arrival batch against
-// an immutable snapshot of the cluster, and a deterministic commit phase
-// detects placement collisions (two shards claiming the same machine slot,
-// or over-committing the EC budget) and re-places the losers against a
+// ShardOptions arms shared-state sharded scheduling: Count scheduler
+// instances each place a partition of every arrival batch against one
+// snapshot of the cluster, none seeing another's decisions, and a
+// deterministic commit phase detects the placement collisions this
+// speculation causes (two shards claiming the same machine slot, or
+// over-committing the EC budget) and re-places the losers against a
 // refreshed snapshot. Conflicts, re-placements and commit retries surface
 // on the Report and in the trace stream (PlacementConflict,
-// PlacementRetried).
+// PlacementRetried). The shards run one after another, in shard order:
+// sharding models speculative placement, not a faster scheduler.
 //
 // Count=1 (or a nil ShardOptions) keeps the monolithic scheduling path and
 // its bit-identical traces. Results for Count>1 are deterministic — shards
@@ -24,7 +26,7 @@ import (
 // not event-for-event identical to the monolithic run, because speculative
 // placement changes which machine each job lands on.
 type ShardOptions struct {
-	// Count is the number of concurrent scheduler shards, 1–64.
+	// Count is the number of scheduler shards, 1–64.
 	// 0 normalizes to 1 (monolithic).
 	Count int
 	// Partition selects how shards claim machine slots: "hash" (default)
