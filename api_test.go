@@ -195,6 +195,32 @@ func TestCompareContextCancelled(t *testing.T) {
 	}
 }
 
+// TestCompareContextErrors pins how a failing run surfaces: an invalid
+// option as the run's own *OptionError, a run that panics (here, in its
+// tracer) as a *SweepCellError naming the lowest failing scheduler instead
+// of a crash.
+func TestCompareContextErrors(t *testing.T) {
+	bad := fastOpts(OrderPreserving)
+	bad.Batches = -1
+	_, want := Run(bad)
+	_, err := CompareContext(context.Background(), bad, Greedy, SIBS)
+	var oe *OptionError
+	if !errors.As(err, &oe) || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want the run's own %v", err, want)
+	}
+	o := fastOpts(OrderPreserving)
+	o.Trace = panicTracer{}
+	_, err = CompareContext(context.Background(), o, Greedy, SIBS)
+	var ce *SweepCellError
+	if !errors.As(err, &ce) || ce.Panic == "" || ce.Cell.Scheduler != string(Greedy) {
+		t.Fatalf("err = %v, want Greedy's panic as a *SweepCellError", err)
+	}
+}
+
+type panicTracer struct{}
+
+func (panicTracer) Emit(TraceEvent) { panic("tracer failed") }
+
 func TestCompareContextMatchesSequentialRuns(t *testing.T) {
 	o := fastOpts(OrderPreserving)
 	reports, err := CompareContext(context.Background(), o, Greedy, OrderPreserving, SIBS)

@@ -55,10 +55,8 @@ package cloudburst
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cloudburst/internal/engine"
 	"cloudburst/internal/invariant"
@@ -611,66 +609,36 @@ func Compare(o Options, schedulers ...SchedulerName) ([]*Report, error) {
 	return CompareContext(context.Background(), o, schedulers...)
 }
 
-// CompareContext is Compare with cooperative cancellation. The per-scheduler
-// runs own private simulations, so they execute concurrently on a worker
-// pool bounded by GOMAXPROCS; each run is independently seeded, so reports
-// do not depend on worker interleaving and arrive in scheduler order. On
-// failure the lowest-index error is returned regardless of which worker hit
-// an error first. When Options.Trace is set the runs stay sequential — a
-// shared Tracer is not safe for concurrent Emit, and sequential runs keep
-// the caller's event stream in scheduler order.
+// CompareContext is Compare with cooperative cancellation. The
+// per-scheduler runs own private simulations, so they execute concurrently
+// on the sweep executor, one cell per scheduler, bounded by GOMAXPROCS;
+// each run is independently seeded, so reports do not depend on worker
+// interleaving and arrive in scheduler order. On failure the lowest-index
+// run's own error is returned regardless of which worker hit an error
+// first, and a run that panics comes back as a *SweepCellError. When
+// Options.Trace is set the runs execute one after another — a shared
+// Tracer is not safe for concurrent Emit, and sequential runs keep the
+// caller's event stream in scheduler order.
 func CompareContext(ctx context.Context, o Options, schedulers ...SchedulerName) ([]*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(schedulers) == 0 {
 		schedulers = []SchedulerName{ICOnly, Greedy, OrderPreserving, SIBS}
 	}
-	runs := make([]Options, len(schedulers))
+	cells := make([]sweep.Cell, len(schedulers))
 	for i, name := range schedulers {
-		runs[i] = o
-		runs[i].Scheduler = name
+		cells[i] = sweep.Cell{Index: i, Scheduler: string(name), Bucket: string(o.Bucket), Seed: o.WorkloadSeed}
 	}
-	out := make([]*Report, len(runs))
+	var cfg sweep.ExecConfig[*Report]
 	if o.Trace != nil {
-		for i := range runs {
-			r, err := RunContext(ctx, runs[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
+		cfg.Workers = 1
 	}
-	errs := make([]error, len(runs))
-	workers := min(runtime.GOMAXPROCS(0), len(runs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i], errs[i] = RunContext(ctx, runs[i])
-			}
-		}()
+	out, err := sweep.Exec(ctx, cells, cfg, func(ctx context.Context, c sweep.Cell) (*Report, error) {
+		run := o
+		run.Scheduler = schedulers[c.Index]
+		return RunContext(ctx, run)
+	})
+	var ce *SweepCellError
+	if errors.As(err, &ce) && ce.Err != nil {
+		return nil, ce.Err
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out, err
 }

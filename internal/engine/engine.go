@@ -236,69 +236,6 @@ type Result struct {
 // indicating a stalled pipeline.
 var ErrTimeout = errors.New("engine: run exceeded the virtual time budget")
 
-// uploader abstracts the single-queue and SIBS upload paths.
-type uploader interface {
-	Enqueue(it *netsim.QueueItem)
-	Backlog() float64
-	QueueBacklogs() (s, m, l float64)
-	StealWaiting() *netsim.QueueItem
-	Busy() bool
-	SetBounds(sBound, mBound int64)
-	// Channels reports how many transfers can run concurrently given the
-	// current size-interval bounds (1 when splitting is collapsed).
-	Channels() int
-	// Queues exposes the underlying transfer queues so fault injection can
-	// arm stall models and recovery hooks on each.
-	Queues() []*netsim.Queue
-}
-
-type singleUploader struct{ q *netsim.Queue }
-
-func (u singleUploader) Enqueue(it *netsim.QueueItem)     { u.q.Enqueue(it) }
-func (u singleUploader) Backlog() float64                 { return u.q.Backlog() }
-func (u singleUploader) QueueBacklogs() (s, m, l float64) { return 0, 0, u.q.Backlog() }
-func (u singleUploader) StealWaiting() *netsim.QueueItem  { return u.q.StealHead() }
-func (u singleUploader) Busy() bool                       { return u.q.Busy() }
-func (u singleUploader) SetBounds(sBound, mBound int64)   {}
-func (u singleUploader) Channels() int                    { return 1 }
-func (u singleUploader) Queues() []*netsim.Queue          { return []*netsim.Queue{u.q} }
-
-type sibsUploader struct{ u *netsim.SplitUploader }
-
-func (u sibsUploader) Enqueue(it *netsim.QueueItem)     { u.u.Enqueue(it) }
-func (u sibsUploader) Backlog() float64                 { return u.u.Backlog() }
-func (u sibsUploader) QueueBacklogs() (s, m, l float64) { return u.u.QueueBacklogs() }
-func (u sibsUploader) Busy() bool                       { return u.u.Busy() }
-func (u sibsUploader) SetBounds(sBound, mBound int64)   { u.u.SetBounds(sBound, mBound) }
-func (u sibsUploader) Queues() []*netsim.Queue {
-	return []*netsim.Queue{u.u.Small, u.u.Medium, u.u.Large}
-}
-
-// Channels counts the distinct size intervals the current bounds define.
-func (u sibsUploader) Channels() int {
-	s, m := u.u.Bounds()
-	switch {
-	case s <= 0 && m <= 0:
-		return 1 // collapsed: everything routes to the large queue
-	case s == m || s <= 0:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// StealWaiting prefers the large queue: its waiting jobs block the longest
-// and never ride up, so reclaiming them for the IC frees the most slack.
-func (u sibsUploader) StealWaiting() *netsim.QueueItem {
-	if it := u.u.Large.StealHead(); it != nil {
-		return it
-	}
-	if it := u.u.Medium.StealHead(); it != nil {
-		return it
-	}
-	return u.u.Small.StealHead()
-}
-
 // jobState tracks one queue slot through the pipeline.
 type jobState struct {
 	j     *job.Job
@@ -333,8 +270,9 @@ type Engine struct {
 	arena *arena
 	ic    *cluster.Cluster
 	// sites are the external clouds, the primary EC first (see sites.go);
-	// ec is sites[0].cluster, the cluster the fault, autoscale and
-	// rescheduling code act on.
+	// ec is sites[0].cluster, the cluster the EC fault injector, the
+	// autoscaler and rescheduling act on. Fault recovery reads the job's
+	// own site.
 	sites     []*ecSite
 	ec        *cluster.Cluster
 	estimator *qrsm.Estimator

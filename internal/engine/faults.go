@@ -254,7 +254,7 @@ func (e *Engine) recoverECJob(js *jobState, at float64, phase recoveryPhase) {
 	}
 	f := e.cfg.Faults
 	js.attempts++
-	if js.attempts > f.MaxRetries || e.ec.Size() == 0 {
+	if js.attempts > f.MaxRetries || e.sites[js.site].cluster.Size() == 0 {
 		e.fallBack(js, at)
 		return
 	}
@@ -263,14 +263,16 @@ func (e *Engine) recoverECJob(js *jobState, at float64, phase recoveryPhase) {
 }
 
 // retryFire re-admits the job when the slack rule still holds, mirroring
-// the idle-pull check: the EC round trip under current predictions must fit
-// inside the IC's drain horizon. Downloads skip the check — the compute is
-// already spent, redownloading is always cheaper than recomputing.
+// the idle-pull check: the round trip through the job's site under current
+// predictions must fit inside the IC's drain horizon. Downloads skip the
+// check — the compute is already spent, redownloading is always cheaper
+// than recomputing.
 func (e *Engine) retryFire(now float64, js *jobState, phase recoveryPhase) {
 	if js.done {
 		return
 	}
-	if e.ec.Size() == 0 {
+	s := e.sites[js.site]
+	if s.cluster.Size() == 0 {
 		e.fallBack(js, now)
 		return
 	}
@@ -287,13 +289,13 @@ func (e *Engine) retryFire(now float64, js *jobState, phase recoveryPhase) {
 		return
 	}
 
-	st := e.state()
+	ss, _, _ := e.siteState(s)
 	est := e.estimateJob(js.j)
-	tec := est/st.ECSpeed + float64(js.j.OutputSize)/st.PredictDownloadBW(st.Now)
+	tec := est/ss.Speed + float64(js.j.OutputSize)/ss.PredictDownloadBW(now)
 	if phase == phaseUpload {
-		tec += (st.UploadBacklog + float64(js.j.InputSize)) / st.PredictUploadBW(st.Now)
+		tec += (ss.UploadBacklog + float64(js.j.InputSize)) / ss.PredictUploadBW(now)
 	}
-	slack := st.ICBacklogStd/(float64(st.ICMachines)*st.ICSpeed) - e.cfg.SchedConfig.SlackMargin
+	slack := e.ic.BacklogStdSeconds()/(float64(e.ic.Size())*machineSpeed) - e.cfg.SchedConfig.SlackMargin
 	if tec > slack {
 		e.fallBack(js, now)
 		return

@@ -39,14 +39,17 @@ func (e *Engine) stealBack() {
 }
 
 func (e *Engine) idlePull() {
-	if up := e.sites[0].upQ; up.Busy() || up.Backlog() > 0 || e.ec.Size() == 0 {
+	p := e.sites[0]
+	if p.upQ.Busy() || p.upQ.Backlog() > 0 || e.ec.Size() == 0 {
 		return
 	}
 	queued := e.ic.QueuedTasks()
 	if len(queued) == 0 {
 		return
 	}
-	st := e.state()
+	ps, _, _ := e.siteState(p)
+	now := e.eng.Now()
+	icBacklog, icMachines := e.ic.BacklogStdSeconds(), e.ic.Size()
 	// Scan from the tail: the last job has the most slack.
 	for i := len(queued) - 1; i >= 0; i-- {
 		t := queued[i]
@@ -57,13 +60,13 @@ func (e *Engine) idlePull() {
 		est := e.estimateJob(t.Job)
 		// EC round trip under current predictions, no queueing (the upload
 		// path is idle by precondition).
-		tec := float64(t.Job.InputSize)/st.PredictUploadBW(st.Now) +
-			est/st.ECSpeed +
-			float64(t.Job.OutputSize)/st.PredictDownloadBW(st.Now)
+		tec := float64(t.Job.InputSize)/ps.PredictUploadBW(now) +
+			est/ps.Speed +
+			float64(t.Job.OutputSize)/ps.PredictDownloadBW(now)
 		// Slack: everything else still owed to the IC, spread over its
 		// machines — if the round trip fits inside that, the pulled job is
 		// off the critical path.
-		slack := (st.ICBacklogStd - est) / (float64(st.ICMachines) * st.ICSpeed)
+		slack := (icBacklog - est) / (float64(icMachines) * machineSpeed)
 		if tec <= slack {
 			// The budget gate applies to idle pulls like any other burst: a
 			// pull whose prepaid charge overruns the remaining budget stays

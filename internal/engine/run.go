@@ -166,7 +166,8 @@ func (e *Engine) build() {
 
 // state snapshots the observable system for the scheduler: the primary
 // EC's site state fills the EC and transfer fields, every other site
-// becomes one RemoteSites entry.
+// becomes one RemoteSites entry. It walks the whole job table, so only
+// scheduling rounds build it.
 func (e *Engine) state() *sched.State {
 	e.tallyPending()
 	ps, queues, upQueues := e.siteState(e.sites[0])
@@ -238,9 +239,7 @@ func (e *Engine) onBatch(b workload.Batch) {
 
 	// SIBS publishes new size-interval bounds per batch.
 	if sb, ok := e.sched.(sched.BoundsPublisher); ok {
-		if sBound, mBound, valid := sb.Bounds(); valid {
-			e.sites[0].upQ.SetBounds(sBound, mBound)
-		}
+		e.setBounds(sb.Bounds())
 	}
 
 	for _, d := range decisions {

@@ -90,9 +90,7 @@ func (e *Engine) onBatchSharded(b workload.Batch) {
 
 		// SIBS shards publish refreshed size-interval bounds per round, the
 		// sharded analogue of the per-batch monolithic publish.
-		if sBound, mBound, ok := e.coord.Bounds(); ok {
-			e.sites[0].upQ.SetBounds(sBound, mBound)
-		}
+		e.setBounds(e.coord.Bounds())
 
 		pending = losers
 	}

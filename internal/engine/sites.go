@@ -33,7 +33,7 @@ type RemoteSiteConfig struct {
 // result queue.
 type ecSite struct {
 	cluster   *cluster.Cluster
-	upQ       uploader
+	upQ       netsim.Uploader
 	downQ     *netsim.Queue
 	upPred    *netsim.Predictor
 	downPred  *netsim.Predictor
@@ -134,17 +134,14 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 		OnOutage:       e.outageTrace(downlinkName),
 	}, downRNG)
 
-	upMeasure := func(at, pathBW float64) { s.upPred.Observe(at, pathBW) }
 	if _, isSIBS := e.sched.(sched.BoundsPublisher); isSIBS && k == 0 {
-		su := netsim.NewSplitUploader(e.eng, uplink, s.upTuner, job.Bytes(50), job.Bytes(150))
-		su.Small.OnMeasure = upMeasure
-		su.Medium.OnMeasure = upMeasure
-		su.Large.OnMeasure = upMeasure
-		s.upQ = sibsUploader{su}
+		s.upQ = netsim.NewSplitUploader(e.eng, uplink, s.upTuner, job.Bytes(50), job.Bytes(150))
 	} else {
-		q := netsim.NewQueue(e.eng, s.upName, uplink, s.upTuner, 1)
+		s.upQ = netsim.NewUploader(e.eng, s.upName, uplink, s.upTuner)
+	}
+	upMeasure := func(at, pathBW float64) { s.upPred.Observe(at, pathBW) }
+	for _, q := range s.upQ.Queues() {
 		q.OnMeasure = upMeasure
-		s.upQ = singleUploader{q}
 	}
 	s.downQ = netsim.NewQueue(e.eng, s.downName, downlink, s.downTuner, 1)
 	s.downQ.OnMeasure = func(at, pathBW float64) { s.downPred.Observe(at, pathBW) }
@@ -154,6 +151,18 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 		e.attachProbeTrace(s.prober, uplinkName)
 	}
 	return s
+}
+
+// setBounds hands the size-interval bounds a SIBS round published to every
+// site's uploader; a one-queue uploader ignores them. ok false keeps the
+// bounds the uploaders hold.
+func (e *Engine) setBounds(sBound, mBound int64, ok bool) {
+	if !ok {
+		return
+	}
+	for _, s := range e.sites {
+		s.upQ.SetBounds(sBound, mBound)
+	}
 }
 
 // tallyPending walks the job table once, in ascending job ID, and leaves
@@ -179,15 +188,17 @@ func (e *Engine) tallyPending() {
 	}
 }
 
-// siteState snapshots one site for the scheduler from the sums the last
-// tallyPending left. It also returns the site's per-queue upload backlogs
-// (small, medium, large; a single queue reports everything as large) and
-// its effective upload parallelism, which sched.State carries for the
-// primary EC only. The parallelism is the interval count given the current
-// bounds, discounted by how the queued bytes actually spread across the
-// queues — when everything single-files through one interval the path
-// behaves like one thread-limited channel no matter how many intervals
-// exist. A single queue's parallelism is 1.
+// siteState snapshots one site from its live queues and cluster.
+// PendingStd and DownloadPending are the sums the last tallyPending left,
+// so only a scheduling round, which tallies first, may read them; fault
+// retries and idle pulls read the rest. It also returns the site's
+// per-queue upload backlogs (small, medium, large; a single queue reports
+// everything as large) and its effective upload parallelism, which
+// sched.State carries for the primary EC only. The parallelism is the
+// interval count given the current bounds, discounted by how the queued
+// bytes actually spread across the queues — when everything single-files
+// through one interval the path behaves like one thread-limited channel no
+// matter how many intervals exist. A single queue's parallelism is 1.
 //
 // Predicted transfer bandwidth is the learned path capacity capped by what
 // the uploader can actually drive: each queue moves one transfer at a time

@@ -31,7 +31,7 @@ func factorReference(q *refQR) {
 		if hi > m {
 			hi = m
 		}
-		nrm := Norm2(ck[k:hi])
+		nrm := norm2(ck[k:hi], 1)
 		if nrm == 0 {
 			rd[k] = 0
 			continue
@@ -261,8 +261,8 @@ func FuzzHouseholder(f *testing.F) {
 // augmented matrix [A; sqrt(lambda)·I] built densely, factored by the
 // reference sweep with the ridge band, and solved. lambda = 0 solves plain
 // least squares over A alone.
-func ridgeReference(a *Matrix, b []float64, lambda float64) ([]float64, error) {
-	m, n := a.Rows, a.Cols
+func ridgeReference(a [][]float64, b []float64, lambda float64) ([]float64, error) {
+	m, n := len(a), len(a[0])
 	rows := m
 	if lambda > 0 {
 		rows += n
@@ -270,7 +270,7 @@ func ridgeReference(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 	q := refQR{a: make([]float64, rows*n), rd: make([]float64, n), m: rows, n: n, band: m}
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
-			q.a[j*rows+i] = a.At(i, j)
+			q.a[j*rows+i] = a[i][j]
 		}
 		if lambda > 0 {
 			q.a[j*rows+m+j] = math.Sqrt(lambda)
@@ -287,11 +287,11 @@ func ridgeReference(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 }
 
 // layOut writes a into the workspace's design buffer.
-func layOut(ws *Workspace, a *Matrix) *Workspace {
-	d, ld := ws.Design(a.Rows, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			d[PanelOffset(j, ld)+PanelWidth*i] = a.At(i, j)
+func layOut(ws *Workspace, a [][]float64) *Workspace {
+	d, ld := ws.Design(len(a), len(a[0]))
+	for i, row := range a {
+		for j, v := range row {
+			d[PanelOffset(j, ld)+PanelWidth*i] = v
 		}
 	}
 	return ws
@@ -312,9 +312,11 @@ func TestWorkspaceRidgeSolveBitIdentical(t *testing.T) {
 			if lambda == 0 && m < n {
 				continue
 			}
-			a := NewMatrix(m, n)
-			for i := range a.Data {
-				a.Data[i] = rng.NormFloat64() * 10
+			a := zeros(m, n)
+			for _, row := range a {
+				for j := range row {
+					row[j] = rng.NormFloat64() * 10
+				}
 			}
 			b := make([]float64, m)
 			for i := range b {
@@ -347,9 +349,11 @@ func TestWorkspaceLeastSquaresBitIdentical(t *testing.T) {
 	var ws Workspace
 	for _, sh := range [][2]int{{40, 6}, {90, 13}, {13, 13}, {70, 55}} {
 		m, n := sh[0], sh[1]
-		a := NewMatrix(m, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
+		a := zeros(m, n)
+		for _, row := range a {
+			for j := range row {
+				row[j] = rng.NormFloat64()
+			}
 		}
 		b := make([]float64, m)
 		for i := range b {

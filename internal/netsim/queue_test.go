@@ -136,22 +136,29 @@ func TestQueueTunerObservesTransfers(t *testing.T) {
 	}
 }
 
+// splitQueues returns a split uploader's small, medium and large queues.
+func splitQueues(u *Uploader) (small, medium, large *Queue) {
+	qs := u.Queues()
+	return qs[0], qs[1], qs[2]
+}
+
 func TestSplitUploaderRouting(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
+	small, medium, large := splitQueues(&u)
 	completed := 0
 	done := func(float64, *QueueItem, float64) { completed++ }
 	// Occupy all three queues so nothing rides up, then check routing.
-	u.Small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
-	u.Medium.Enqueue(&QueueItem{Bytes: 5000, OnDone: done})
-	u.Large.Enqueue(&QueueItem{Bytes: 50000, OnDone: done})
+	small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+	medium.Enqueue(&QueueItem{Bytes: 5000, OnDone: done})
+	large.Enqueue(&QueueItem{Bytes: 50000, OnDone: done})
 	u.Enqueue(&QueueItem{Bytes: 800, Meta: "s", OnDone: done})
 	u.Enqueue(&QueueItem{Bytes: 5000, Meta: "m", OnDone: done})
 	u.Enqueue(&QueueItem{Bytes: 20000, Meta: "l", OnDone: done})
-	if u.Small.QueuedItems() != 1 || u.Medium.QueuedItems() != 1 || u.Large.QueuedItems() != 1 {
+	if small.QueuedItems() != 1 || medium.QueuedItems() != 1 || large.QueuedItems() != 1 {
 		t.Fatalf("routing wrong: %d/%d/%d queued",
-			u.Small.QueuedItems(), u.Medium.QueuedItems(), u.Large.QueuedItems())
+			small.QueuedItems(), medium.QueuedItems(), large.QueuedItems())
 	}
 	eng.Run()
 	if completed != 6 {
@@ -163,13 +170,14 @@ func TestSplitUploaderRideUpWhenHigherIdle(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
+	_, medium, _ := splitQueues(&u)
 	// Small queue busy with a long transfer; next small item should ride
 	// the idle medium queue rather than wait.
 	u.Enqueue(&QueueItem{Bytes: 900, Meta: "first"})
 	var secondAt float64
 	u.Enqueue(&QueueItem{Bytes: 900, Meta: "second",
 		OnDone: func(at float64, it *QueueItem, bw float64) { secondAt = at }})
-	if !u.Medium.Busy() {
+	if !medium.Busy() {
 		t.Fatal("second small item should ride the idle medium queue")
 	}
 	eng.Run()
@@ -184,9 +192,10 @@ func TestSplitUploaderNoRideDown(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
+	small, medium, large := splitQueues(&u)
 	// Large job with small/medium idle: must stay in the large queue.
 	u.Enqueue(&QueueItem{Bytes: 50000})
-	if u.Small.Busy() || u.Medium.Busy() || !u.Large.Busy() {
+	if small.Busy() || medium.Busy() || !large.Busy() {
 		t.Fatal("large job must not descend into lower queues")
 	}
 	eng.Run()
@@ -196,19 +205,20 @@ func TestSplitUploaderIdleStealFromLower(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
+	small, mq, lq := splitQueues(&u)
 	// Fill the small queue deeply; when medium/large drain they should
 	// steal waiting small items. Each queue counts the transfers it
 	// completes through its measurement hook.
 	completed := 0
 	done := func(float64, *QueueItem, float64) { completed++ }
 	var medium, large int
-	u.Medium.OnMeasure = func(float64, float64) { medium++ }
-	u.Large.OnMeasure = func(float64, float64) { large++ }
+	mq.OnMeasure = func(float64, float64) { medium++ }
+	lq.OnMeasure = func(float64, float64) { large++ }
 	for i := 0; i < 6; i++ {
-		u.Small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+		small.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
 	}
-	u.Medium.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
-	u.Large.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+	mq.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
+	lq.Enqueue(&QueueItem{Bytes: 500, OnDone: done})
 	eng.Run()
 	if completed != 8 {
 		t.Fatalf("completed %d, want 8", completed)
@@ -222,12 +232,12 @@ func TestSplitUploaderIdleStealFromLower(t *testing.T) {
 func TestSplitUploaderBoundsOrdering(t *testing.T) {
 	eng := sim.NewEngine()
 	u := NewSplitUploader(eng, testLink(eng, 1000), nil, 5000, 1000) // m < s on purpose
-	s, m := u.Bounds()
+	s, m := u.sBound, u.mBound
 	if m < s {
 		t.Fatalf("bounds not ordered: s=%d m=%d", s, m)
 	}
 	u.SetBounds(-10, -20)
-	s, m = u.Bounds()
+	s, m = u.sBound, u.mBound
 	if s != 0 || m != 0 {
 		t.Fatalf("negative bounds should clamp to 0: s=%d m=%d", s, m)
 	}
@@ -237,9 +247,10 @@ func TestSplitUploaderBacklogs(t *testing.T) {
 	eng := sim.NewEngine()
 	l := testLink(eng, 1000)
 	u := NewSplitUploader(eng, l, nil, 1000, 10000)
-	u.Small.Enqueue(&QueueItem{Bytes: 500})
-	u.Medium.Enqueue(&QueueItem{Bytes: 5000})
-	u.Large.Enqueue(&QueueItem{Bytes: 50000})
+	small, medium, large := splitQueues(&u)
+	small.Enqueue(&QueueItem{Bytes: 500})
+	medium.Enqueue(&QueueItem{Bytes: 5000})
+	large.Enqueue(&QueueItem{Bytes: 50000})
 	s, m, lg := u.QueueBacklogs()
 	if s != 500 || m != 5000 || lg != 50000 {
 		t.Fatalf("backlogs = %v/%v/%v", s, m, lg)
@@ -251,6 +262,71 @@ func TestSplitUploaderBacklogs(t *testing.T) {
 		t.Fatal("uploader should be busy")
 	}
 	eng.Run()
+}
+
+// TestUploaderShapes pins what the engine reads of both uploader shapes:
+// the channel count the bounds define, the order in which steal-back takes
+// waiting items (the highest queue first, each queue from its head), and
+// that a one-queue uploader keeps no bounds and reports its backlog as
+// large.
+func TestUploaderShapes(t *testing.T) {
+	cases := []struct {
+		name           string
+		split          bool
+		sBound, mBound int64
+		wantS, wantM   int64 // bounds held after SetBounds
+		channels       int
+		steals         []string
+	}{
+		{"collapsed", true, 0, 0, 0, 0, 1, nil},
+		{"small equals medium", true, 1000, 1000, 1000, 1000, 2, nil},
+		{"no small interval", true, -5, 10000, 0, 10000, 2, nil},
+		{"three intervals", true, 1000, 10000, 1000, 10000, 3, []string{
+			"upload-large/0", "upload-large/1", "upload-medium/0",
+			"upload-medium/1", "upload-small/0", "upload-small/1",
+		}},
+		{"one queue", false, 1000, 10000, 0, 0, 1, []string{"upload/0", "upload/1"}},
+	}
+	for _, c := range cases {
+		eng := sim.NewEngine()
+		l := testLink(eng, 1000)
+		var u Uploader
+		if c.split {
+			u = NewSplitUploader(eng, l, nil, 50, 150)
+		} else {
+			u = NewUploader(eng, "upload", l, nil)
+		}
+		u.SetBounds(c.sBound, c.mBound)
+		if u.sBound != c.wantS || u.mBound != c.wantM {
+			t.Errorf("%s: bounds = %d/%d, want %d/%d", c.name, u.sBound, u.mBound, c.wantS, c.wantM)
+		}
+		if got := u.Channels(); got != c.channels {
+			t.Errorf("%s: %d channels, want %d", c.name, got, c.channels)
+		}
+		if c.steals == nil {
+			continue
+		}
+		// One transfer in flight and two waiting on every queue.
+		for _, q := range u.Queues() {
+			q.Enqueue(&QueueItem{Bytes: 500})
+			q.Enqueue(&QueueItem{Bytes: 500, Meta: q.Name + "/0"})
+			q.Enqueue(&QueueItem{Bytes: 500, Meta: q.Name + "/1"})
+		}
+		if !c.split {
+			if s, m, lg := u.QueueBacklogs(); s != 0 || m != 0 || lg != u.Backlog() || lg != 1500 {
+				t.Errorf("%s: backlogs = %v/%v/%v, want 0/0/1500", c.name, s, m, lg)
+			}
+		}
+		for i, want := range c.steals {
+			if it := u.StealWaiting(); it == nil || it.Meta != want {
+				t.Fatalf("%s: steal %d took %v, want %s", c.name, i, it, want)
+			}
+		}
+		if it := u.StealWaiting(); it != nil {
+			t.Errorf("%s: steal past the waiting items took %v", c.name, it.Meta)
+		}
+		eng.Run()
+	}
 }
 
 func TestPartitionBySize(t *testing.T) {

@@ -136,7 +136,8 @@ func ClassBit(c job.Class) uint64 {
 // AllClasses is the Prepare mask of every class. Preparing it settles
 // every fit an estimate can read, so Estimate then only reads: callers that
 // cache a bootstrapped estimator as a prototype pay its factorizations
-// once instead of once per clone, and concurrent readers share it safely.
+// once instead of once per clone, and any number of goroutines may clone
+// the prototype at once.
 const AllClasses = ^uint64(0)
 
 // Prepare materializes, side by side, exactly the deferred fits that
@@ -287,8 +288,10 @@ func (e *Estimator) Bootstrap(features []job.Features, seconds []float64) {
 // interpolates its few samples is skipped — its edge behaviour is wild.
 //
 // Estimate materializes the fits it reads. After Prepare of every class it
-// only reads, so any number of goroutines may estimate at once, as long as
-// none observes, refits or clones the estimator meanwhile.
+// only reads, which is what lets sweep workers share one prepared bootstrap
+// prototype: any number of goroutines may clone it with CloneInto at once
+// and estimate on their clones, as long as none observes or refits the
+// prototype meanwhile.
 func (e *Estimator) Estimate(f job.Features) float64 {
 	x := f.Vector()
 	if c := int(f.Class); c >= 0 && c < len(e.perClass) && e.perClass[c].WellDetermined() {

@@ -198,49 +198,55 @@ func preparedEstimator(t *testing.T, g *stats.RNG) *Estimator {
 	return e
 }
 
-// TestEstimateConcurrentMatchesEstimate pins Estimate's read-only contract:
-// after Prepare of every class, Estimate only reads, so parallel readers
-// (the -race leg makes this a real concurrency check) agree bit for bit
-// with serial calls on every model-selection branch (well-determined class
-// model, global model for a thin class, size fallback) and run no fit.
-func TestEstimateConcurrentMatchesEstimate(t *testing.T) {
+// TestConcurrentClonesMatchEstimate pins the estimator's one concurrent
+// use: sweep workers clone one shared, prepared bootstrap prototype at once
+// (engine/arena.go) and estimate on their clones. Eight goroutines do that
+// here (the -race leg makes this a real concurrency check); their estimates
+// must agree bit for bit with serial ones on every model-selection branch
+// (well-determined class model, global model for a thin class, size
+// fallback), and neither the prototype nor a clone may run a fit.
+func TestConcurrentClonesMatchEstimate(t *testing.T) {
 	g := stats.NewRNG(21)
-	e := preparedEstimator(t, g)
+	proto := preparedEstimator(t, g)
 	probes := make([]job.Features, 64)
 	for i := range probes {
 		probes[i] = synthFeatures(g, job.Class(i%job.NumClasses))
 	}
 	want := make([]float64, len(probes))
 	for i, f := range probes {
-		want[i] = e.Estimate(f)
+		want[i] = proto.Estimate(f)
 	}
-	fits := e.Factorizations()
+	fits := proto.Factorizations()
 	var wg sync.WaitGroup
 	bad := make([]int, 8)
 	for w := range bad {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c := proto.CloneInto(nil)
 			for i, f := range probes {
-				if math.Float64bits(e.Estimate(f)) != math.Float64bits(want[i]) {
+				if math.Float64bits(c.Estimate(f)) != math.Float64bits(want[i]) {
 					bad[w]++
 				}
+			}
+			if c.Factorizations() != fits {
+				bad[w]++
 			}
 		}()
 	}
 	wg.Wait()
 	for w, n := range bad {
 		if n > 0 {
-			t.Fatalf("reader %d: %d estimates differ from the serial ones", w, n)
+			t.Fatalf("clone %d: %d estimates differ from the serial ones or it ran a fit", w, n)
 		}
 	}
-	if got := e.Factorizations(); got != fits {
-		t.Fatalf("concurrent readers ran %d fits", got-fits)
+	if got := proto.Factorizations(); got != fits {
+		t.Fatalf("cloning the prototype ran %d fits", got-fits)
 	}
 	// Cold estimator: the size fallback.
 	cold := NewEstimator()
 	cold.Prepare(AllClasses)
-	if got := cold.Estimate(job.Features{SizeMB: 50}); got != 100 {
+	if got := cold.CloneInto(nil).Estimate(job.Features{SizeMB: 50}); got != 100 {
 		t.Fatalf("fallback estimate = %v, want 100", got)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // accumulating IC backlog), (b) partitions their sorted sizes into
 // small/medium/large groups proportional to the upload queues' left-over
 // capacity, and (c) publishes the resulting size bounds, which the engine
-// installs on the SplitUploader. Placement itself is the slack rule of
-// Algorithm 2.
+// hands to every site's uploader (netsim.Uploader). Placement itself is
+// the slack rule of Algorithm 2.
 type SIBS struct {
 	Cfg Config
 
