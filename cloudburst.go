@@ -488,7 +488,6 @@ func (o Options) engineConfig() engine.Config {
 	}
 	if o.AutoscaleECMax > 0 {
 		cfg.Autoscale = &engine.AutoscaleConfig{
-			Min:        1,
 			Max:        o.AutoscaleECMax,
 			BootDelay:  o.AutoscaleBootDelay,
 			TargetWait: o.AutoscaleTargetWait,

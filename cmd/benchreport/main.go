@@ -15,8 +15,10 @@
 //	benchreport -compare BENCH.json BENCH.ci.json -ns-tol 2.0 -allocs-tol 0.15
 //
 // It exits nonzero when any benchmark present in both reports regresses
-// beyond tolerance, or when a candidate benchmark has no baseline row: a
-// renamed or new benchmark must enter the baseline to be gated at all.
+// beyond tolerance, when a candidate benchmark has no baseline row (a
+// renamed or new benchmark must enter the baseline to be gated at all), or
+// when a baseline benchmark has no candidate row (a deleted or renamed
+// benchmark must leave the baseline, or its gate would vanish unnoticed).
 // Allocations per op are effectively machine-independent, so their
 // tolerance is tight; wall time varies with hardware and load, so its
 // tolerance is loose — tune both to the stability of the environment.
@@ -204,6 +206,7 @@ func load(path string) (*Report, error) {
 
 // compare reports regressions of cand against base, returning the failure
 // lines. A candidate benchmark missing from base fails: nothing gates it.
+// A baseline benchmark missing from cand fails too: its gate was dropped.
 // A metric regresses when cand > base*(1+tol); a zero baseline
 // ns/op is skipped (nothing meaningful to ratio against), and allocs/op is
 // gated only when both sides actually measured it — an absent metric means
@@ -214,6 +217,16 @@ func compare(base, cand *Report, nsTol, allocsTol float64, out io.Writer) []stri
 		byName[b.Name] = b
 	}
 	var failures []string
+	inCand := make(map[string]bool, len(cand.Benchmarks))
+	for _, c := range cand.Benchmarks {
+		inCand[c.Name] = true
+	}
+	for _, b := range base.Benchmarks {
+		if !inCand[b.Name] {
+			failures = append(failures, fmt.Sprintf("%s: baseline row has no candidate run", b.Name))
+			fmt.Fprintf(out, "DROPPED   %-40s %12.0f ns/op\n", b.Name, b.NsPerOp)
+		}
+	}
 	for _, c := range cand.Benchmarks {
 		b, ok := byName[c.Name]
 		if !ok {

@@ -149,6 +149,7 @@ func TestCompare(t *testing.T) {
 	t.Run("ns regression", func(t *testing.T) {
 		cand := &Report{Benchmarks: []Benchmark{
 			{Name: "BenchmarkA", NsPerOp: 200, AllocsPerOp: fp(50)},
+			{Name: "BenchmarkB", NsPerOp: 200, AllocsPerOp: fp(10)},
 		}}
 		var sb strings.Builder
 		f := compare(base, cand, 0.5, 0.1, &sb)
@@ -159,6 +160,7 @@ func TestCompare(t *testing.T) {
 
 	t.Run("allocs regression", func(t *testing.T) {
 		cand := &Report{Benchmarks: []Benchmark{
+			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: fp(50)},
 			{Name: "BenchmarkB", NsPerOp: 200, AllocsPerOp: fp(14)},
 		}}
 		var sb strings.Builder
@@ -173,6 +175,7 @@ func TestCompare(t *testing.T) {
 		// has no baseline row, so no tolerance applies to it.
 		cand := &Report{Benchmarks: []Benchmark{
 			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: fp(50)},
+			{Name: "BenchmarkB", NsPerOp: 200, AllocsPerOp: fp(10)},
 			{Name: "BenchmarkNew", NsPerOp: 1, AllocsPerOp: fp(1)},
 		}}
 		var sb strings.Builder
@@ -190,6 +193,7 @@ func TestCompare(t *testing.T) {
 		// absent metric as 0 (a "free" pass) nor as a regression.
 		cand := &Report{Benchmarks: []Benchmark{
 			{Name: "BenchmarkA", NsPerOp: 100},
+			{Name: "BenchmarkB", NsPerOp: 200},
 		}}
 		var sb strings.Builder
 		if f := compare(base, cand, 0.5, 0.1, &sb); len(f) != 0 {
@@ -197,6 +201,22 @@ func TestCompare(t *testing.T) {
 		}
 		if !strings.Contains(sb.String(), "not measured in candidate") {
 			t.Errorf("missing skip notice:\n%s", sb.String())
+		}
+	})
+
+	t.Run("dropped benchmark fails", func(t *testing.T) {
+		// A deleted or renamed benchmark would otherwise take its gate
+		// with it: its baseline row has nothing to compare against.
+		cand := &Report{Benchmarks: []Benchmark{
+			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: fp(50)},
+		}}
+		var sb strings.Builder
+		f := compare(base, cand, 0.5, 0.1, &sb)
+		if len(f) != 1 || !strings.Contains(f[0], "BenchmarkB") || !strings.Contains(f[0], "no candidate") {
+			t.Fatalf("failures = %v, want one dropped-benchmark failure for BenchmarkB", f)
+		}
+		if !strings.Contains(sb.String(), "DROPPED") {
+			t.Errorf("dropped benchmark not reported:\n%s", sb.String())
 		}
 	})
 

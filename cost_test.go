@@ -191,7 +191,7 @@ func TestBudgetGateRedirectsWorkToIC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if free.CostCommitted <= 0.25 {
-		t.Skipf("unlimited run committed only %.4f; budget cannot bind", free.CostCommitted)
+		t.Fatalf("unlimited run committed only %.4f; budget cannot bind", free.CostCommitted)
 	}
 	if tight.CostCommitted >= free.CostCommitted {
 		t.Fatalf("budget did not reduce committed spend: %.4f vs %.4f", tight.CostCommitted, free.CostCommitted)

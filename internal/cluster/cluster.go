@@ -62,8 +62,6 @@ type Task struct {
 	StdSeconds float64
 	// OnDone fires at completion with the finishing machine.
 	OnDone func(at float64, t *Task, m *Machine)
-	// OnStart fires when a machine picks the task up (optional).
-	OnStart func(at float64, t *Task, m *Machine)
 
 	EnqueuedAt float64
 	StartedAt  float64
@@ -72,9 +70,6 @@ type Task struct {
 	done    bool
 	aborted bool // machine failed mid-task; the pending completion is void
 }
-
-// Done reports whether the task has completed.
-func (t *Task) Done() bool { return t.done }
 
 // RemainingStdSeconds returns the standard-machine work left at time now:
 // full work while queued, the unexecuted fraction while running, zero when
@@ -116,9 +111,6 @@ type Cluster struct {
 	peakMachines int
 	revoked      int          // machines permanently lost to fault injection
 	doneCb       sim.Callback // prebound task-completion callback
-	// OnIdle fires whenever the cluster transitions to fully idle (no
-	// running or queued tasks); the rescheduling strategies hook it.
-	OnIdle func(c *Cluster)
 	// OnTaskStart/OnTaskEnd fire for every task the cluster starts or
 	// finishes. The tracing subsystem hooks them; both are optional.
 	OnTaskStart func(at float64, t *Task, m *Machine)
@@ -264,9 +256,6 @@ func (c *Cluster) start(m *Machine, t *Task) {
 	if c.OnTaskStart != nil {
 		c.OnTaskStart(now, t, m)
 	}
-	if t.OnStart != nil {
-		t.OnStart(now, t, m)
-	}
 	c.eng.CallAfter(t.StdSeconds, c.doneCb, t)
 }
 
@@ -292,9 +281,6 @@ func (c *Cluster) taskDone(now float64, arg any) {
 		t.OnDone(now, t, m)
 	}
 	c.dispatch()
-	if c.OnIdle != nil && c.Idle() {
-		c.OnIdle(c)
-	}
 }
 
 // Idle reports whether no task is running or queued.

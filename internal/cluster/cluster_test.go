@@ -53,13 +53,16 @@ func TestHeterogeneousMachinesFCFSOrder(t *testing.T) {
 	var starts []int
 	var at []float64
 	var on []int
+	index := map[*Task]int{}
+	c.OnTaskStart = func(a float64, tk *Task, m *Machine) {
+		starts = append(starts, index[tk])
+		at = append(at, a)
+		on = append(on, m.ID)
+	}
 	for i, w := range []float64{8, 2, 5, 1, 4, 3} {
-		i := i
-		c.Submit(&Task{StdSeconds: w, OnStart: func(a float64, tk *Task, m *Machine) {
-			starts = append(starts, i)
-			at = append(at, a)
-			on = append(on, m.ID)
-		}})
+		tk := &Task{StdSeconds: w}
+		index[tk] = i
+		c.Submit(tk)
 	}
 	eng.Run()
 	// Tasks must start in submission order whichever machine frees first.
@@ -80,10 +83,13 @@ func TestOnStartAndTimestamps(t *testing.T) {
 	c := New(eng, "ic", 1)
 	var startedAt, enqueuedAt float64 = -1, -1
 	t1 := &Task{StdSeconds: 5}
-	t2 := &Task{StdSeconds: 5, OnStart: func(at float64, tk *Task, m *Machine) {
-		startedAt = at
-		enqueuedAt = tk.EnqueuedAt
-	}}
+	t2 := &Task{StdSeconds: 5}
+	c.OnTaskStart = func(at float64, tk *Task, m *Machine) {
+		if tk == t2 {
+			startedAt = at
+			enqueuedAt = tk.EnqueuedAt
+		}
+	}
 	c.Submit(t1)
 	c.Submit(t2)
 	eng.Run()
@@ -107,7 +113,7 @@ func TestRemainingStdSeconds(t *testing.T) {
 		t.Fatalf("remaining = %v, want 8", got)
 	}
 	eng.Run()
-	if tk.RemainingStdSeconds(eng.Now()) != 0 || !tk.Done() {
+	if tk.RemainingStdSeconds(eng.Now()) != 0 || !tk.done {
 		t.Fatal("finished task should report zero remaining")
 	}
 }
@@ -130,22 +136,24 @@ func TestBacklogStdSeconds(t *testing.T) {
 	}
 }
 
-func TestIdleAndOnIdle(t *testing.T) {
+func TestIdle(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, "ic", 2)
 	if !c.Idle() {
 		t.Fatal("new cluster should be idle")
 	}
-	idles := 0
-	c.OnIdle = func(*Cluster) { idles++ }
 	c.Submit(&Task{StdSeconds: 5})
 	c.Submit(&Task{StdSeconds: 10})
 	if c.Idle() {
 		t.Fatal("cluster with running tasks is not idle")
 	}
+	eng.RunUntil(7)
+	if c.Idle() {
+		t.Fatal("cluster with one task still running is not idle")
+	}
 	eng.Run()
-	if idles != 1 {
-		t.Fatalf("OnIdle fired %d times, want 1", idles)
+	if !c.Idle() {
+		t.Fatal("drained cluster should be idle")
 	}
 }
 
@@ -168,7 +176,7 @@ func TestWithdraw(t *testing.T) {
 	ran := 0
 	c.OnTaskEnd = func(float64, *Task, *Machine) { ran++ }
 	eng.Run()
-	if ran != 1 || queued.Done() {
+	if ran != 1 || queued.done {
 		t.Fatalf("%d tasks ran, want 1 (withdrawn task never ran)", ran)
 	}
 }

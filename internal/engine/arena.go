@@ -188,50 +188,40 @@ func (e *Engine) release() {
 	parkArena(a)
 }
 
-// bootKey identifies one bootstrap dataset: BootstrapSet is a pure
-// function of (seed, n, noise) and the seed is fixed, so estimators
-// bootstrapped from equal keys are interchangeable.
-type bootKey struct {
-	n       int
-	noiseCV float64
-}
-
 // bootProtos caches one materialized estimator prototype per bootstrap
-// dataset. Sweeps draw from a handful of keys, so the cache stays tiny; it
-// is never evicted. Prototypes are read-only after insertion — every run
-// gets its own deep clone.
-var bootProtos sync.Map // bootKey → *qrsm.Estimator
+// noise level: BootstrapSet is a pure function of (seed, n, noise) and the
+// seed and size are fixed, so estimators bootstrapped at equal NoiseCV are
+// interchangeable. Sweeps draw from a handful of levels, so the cache stays
+// tiny; it is never evicted. Prototypes are read-only after insertion —
+// every run gets its own deep clone.
+var bootProtos sync.Map // NoiseCV float64 → *qrsm.Estimator
 
 // buildEstimator constructs the run's processing-time oracle. The
 // bootstrap dominates a short run's CPU (200 observations plus a full QR
 // factorization before the first job arrives), and its result depends only
-// on (BootstrapN, NoiseCV) — so optimized runs clone a cached prototype
-// instead. Cloning copies the exact post-Bootstrap state a fresh estimator
-// would reach, so trajectories are bit-identical; the Reference mode and
-// the no-reuse baseline keep paying the full bootstrap.
+// on NoiseCV — so optimized runs clone a cached prototype instead. Cloning
+// copies the exact post-Bootstrap state a fresh estimator would reach, so
+// trajectories are bit-identical; the Reference mode and the no-reuse
+// baseline keep paying the full bootstrap.
 func (e *Engine) buildEstimator() *qrsm.Estimator {
-	cfg := e.cfg
-	if cfg.BootstrapN <= 0 {
-		return qrsm.NewEstimator()
-	}
-	if cfg.Reference || arenaPoolingOff.Load() {
+	noiseCV := e.cfg.NoiseCV
+	if e.cfg.Reference || arenaPoolingOff.Load() {
 		est := qrsm.NewEstimator()
-		fs, ys := workload.BootstrapSet(bootstrapSeed, cfg.BootstrapN, cfg.NoiseCV)
+		fs, ys := workload.BootstrapSet(bootstrapSeed, bootstrapN, noiseCV)
 		est.Bootstrap(fs, ys)
 		return est
 	}
-	key := bootKey{cfg.BootstrapN, cfg.NoiseCV}
 	var proto *qrsm.Estimator
-	if v, ok := bootProtos.Load(key); ok {
+	if v, ok := bootProtos.Load(noiseCV); ok {
 		proto = v.(*qrsm.Estimator)
 	} else {
 		proto = qrsm.NewEstimator()
-		fs, ys := workload.BootstrapSet(bootstrapSeed, cfg.BootstrapN, cfg.NoiseCV)
+		fs, ys := workload.BootstrapSet(bootstrapSeed, bootstrapN, noiseCV)
 		proto.Bootstrap(fs, ys)
 		proto.Prepare(qrsm.AllClasses) // pay the factorization once, not per clone
 		// Settle the R² every run reports, or each clone computes it anew.
 		proto.GlobalModel().SettledR2()
-		if v, loaded := bootProtos.LoadOrStore(key, proto); loaded {
+		if v, loaded := bootProtos.LoadOrStore(noiseCV, proto); loaded {
 			proto = v.(*qrsm.Estimator)
 		}
 	}

@@ -12,26 +12,21 @@ import (
 // transfer pipes stay saturated, and release them when demand fades (the
 // hybrid-cloud cost argument of Sec. I: "remote computation can completely
 // be scaled down during periods of low demand").
+//
+// The control loop runs every 60 s and never drains the fleet below one
+// machine.
 type AutoscaleConfig struct {
-	Min        int     // never drain below this many machines (default 1)
 	Max        int     // never boot above this many (default 8)
 	BootDelay  float64 // seconds from decision to availability (default 120)
-	Period     float64 // control-loop period (default 60)
 	TargetWait float64 // desired max expected queueing delay at the EC (default 300 s)
 }
 
 func (a AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if a.Min == 0 {
-		a.Min = 1
-	}
 	if a.Max == 0 {
 		a.Max = 8
 	}
 	if a.BootDelay == 0 {
 		a.BootDelay = 120
-	}
-	if a.Period == 0 {
-		a.Period = 60
 	}
 	if a.TargetWait == 0 {
 		a.TargetWait = 300
@@ -41,9 +36,9 @@ func (a AutoscaleConfig) withDefaults() AutoscaleConfig {
 
 func (a AutoscaleConfig) validate() error {
 	switch {
-	case a.Min < 0 || a.Max < a.Min:
-		return fmt.Errorf("engine: autoscale bounds [%d,%d] invalid", a.Min, a.Max)
-	case a.BootDelay < 0 || a.Period <= 0 || a.TargetWait <= 0:
+	case a.Max < autoscaleMin:
+		return fmt.Errorf("engine: autoscale bounds [%d,%d] invalid", autoscaleMin, a.Max)
+	case a.BootDelay < 0 || a.TargetWait <= 0:
 		return fmt.Errorf("engine: autoscale timing invalid: %+v", a)
 	}
 	return nil
@@ -67,7 +62,7 @@ func startAutoscaler(e *Engine, cfg AutoscaleConfig) (*autoscaler, error) {
 	}
 	a := &autoscaler{e: e, cfg: cfg}
 	a.bootCb = a.bootDone
-	sim.NewTicker(e.eng, cfg.Period, func(now float64) { a.tick() })
+	sim.NewTicker(e.eng, autoscalePeriod, func(now float64) { a.tick() })
 	return a, nil
 }
 
@@ -104,7 +99,7 @@ func (a *autoscaler) boot(n int) {
 // machines to keep the transfer path saturated — booting for bytes that
 // cannot arrive any faster only rents idle capacity.
 //
-// A fleet that revocations took below Min is refilled regardless of
+// A fleet that revocations took below autoscaleMin is refilled regardless of
 // demand: with no EC machine the schedulers burst nothing, so no backlog
 // would ever ask for one. It is not refilled once the budget is spent,
 // because no burst could then use the machine.
@@ -114,12 +109,12 @@ func (a *autoscaler) tick() {
 	wait := e.ec.BacklogStdSeconds() / float64(max(fleet, 1))
 
 	switch {
-	case fleet < a.cfg.Min && !a.budgetSpent():
-		a.boot(a.cfg.Min - fleet)
+	case fleet < autoscaleMin && !a.budgetSpent():
+		a.boot(autoscaleMin - fleet)
 	case wait > a.cfg.TargetWait && fleet < a.cfg.Max:
 		a.boot(1)
 	case wait < a.cfg.TargetWait/2 && a.pendingBoots == 0:
-		if m := e.ec.DrainIdleMachine(a.cfg.Min); m != nil {
+		if m := e.ec.DrainIdleMachine(autoscaleMin); m != nil {
 			a.drainCount++
 			if e.wants(trace.AutoscaleDrain) {
 				e.tracer.Emit(trace.Event{

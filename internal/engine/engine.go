@@ -27,20 +27,31 @@ import (
 )
 
 // The paper's test bed fixes these (Sec. V): standard-speed VMs in both
-// clouds, link jitter resampled every minute, time-of-day bandwidth
-// predictors with one slot per hour, a QRSM bootstrapped from one fixed
-// historical set, and idle rescheduling checked every 30 s.
+// clouds, link jitter resampled every minute, bandwidth probes every five
+// minutes, time-of-day bandwidth predictors with one slot per hour and a
+// 300 kB/s prior, a QRSM bootstrapped from one fixed historical set of 200
+// samples, and idle rescheduling checked every 30 s. The elastic EC's
+// control loop runs every minute and keeps at least one machine.
+// maxVirtualTime is the safety valve: a drain still unfinished this long
+// after feeding stopped has a stalled pipeline.
 const (
 	machineSpeed       = 1.0
 	resamplePeriod     = 60
+	probePeriod        = 300
 	predictorSlots     = 24
+	priorBW            = 300 * 1024
 	bootstrapSeed      = 7
+	bootstrapN         = 200
 	reschedulingPeriod = 30
+	autoscaleMin       = 1
+	autoscalePeriod    = 60
+	maxVirtualTime     = 30 * netsim.Day
 )
 
 // Config parameterizes a run. Zero values take defaults mirroring the
-// paper's test bed: 8 IC VMs, 2 EC VMs, a diurnal thin pipe, 1 MB probes,
-// and a bootstrapped QRSM.
+// paper's test bed: 8 IC VMs, 2 EC VMs and a diurnal thin pipe; the probe
+// cadence, the bandwidth prior and the QRSM bootstrap are the constants
+// above.
 type Config struct {
 	// Clusters.
 	ICMachines int // default 8
@@ -56,10 +67,7 @@ type Config struct {
 	Outages *netsim.OutageModel
 
 	// Learned models.
-	ProbePeriod    float64 // default 300 s; negative disables probing
 	PredictorAlpha float64 // default 0.3
-	PriorBW        float64 // default 300 kB/s
-	BootstrapN     int     // QRSM bootstrap samples, default 200; negative disables
 	NoiseCV        float64 // QRSM bootstrap noise (default 0.12)
 
 	// Scheduler tuning.
@@ -103,9 +111,6 @@ type Config struct {
 	// run bit-identical to an unpriced one.
 	Cost *cost.Config
 
-	// Safety valve: abort if the virtual clock passes this (default 30 days).
-	MaxVirtualTime float64
-
 	// Tracer, when set, receives the structured event stream (package
 	// trace): arrivals, decisions with rationale, transfers, compute
 	// intervals, probes, outages, autoscale actions and deliveries. A nil
@@ -139,23 +144,11 @@ func (c Config) withDefaults() Config {
 	if c.ThreadModel.PerThread == 0 {
 		c.ThreadModel = netsim.DefaultThreadModel()
 	}
-	if c.ProbePeriod == 0 {
-		c.ProbePeriod = 300
-	}
 	if c.PredictorAlpha == 0 {
 		c.PredictorAlpha = 0.3
 	}
-	if c.PriorBW == 0 {
-		c.PriorBW = 300 * 1024
-	}
-	if c.BootstrapN == 0 {
-		c.BootstrapN = 200
-	}
 	if c.NoiseCV == 0 {
 		c.NoiseCV = 0.12
-	}
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = 30 * netsim.Day
 	}
 	return c
 }
@@ -232,8 +225,11 @@ type Result struct {
 	CommitRetries int
 }
 
-// ErrTimeout is returned when a run exceeds Config.MaxVirtualTime,
-// indicating a stalled pipeline.
+// ErrTimeout is returned when the admitted jobs are still not all done 30
+// virtual days after feeding stopped, indicating a stalled pipeline. The
+// valve counts from that stop: a Run's last arrival, or whatever stopped a
+// Serve — its duration, its job budget, source exhaustion or cancellation.
+// A Serve that is still feeding never trips it.
 var ErrTimeout = errors.New("engine: run exceeded the virtual time budget")
 
 // jobState tracks one queue slot through the pipeline.

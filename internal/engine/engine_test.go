@@ -12,6 +12,7 @@ import (
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sla"
 	"cloudburst/internal/trace"
+	"cloudburst/internal/window"
 	"cloudburst/internal/workload"
 )
 
@@ -99,7 +100,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestICOnlyNeverUsesNetwork(t *testing.T) {
 	batches := smallWorkload(workload.UniformMix, 3)
-	res := mustRun(t, Config{NetSeed: 1, ProbePeriod: -1}, sched.ICOnly{}, batches)
+	res := mustRun(t, Config{NetSeed: 1}, sched.ICOnly{}, batches)
 	if res.BurstRatio != 0 || res.ECUtil != 0 {
 		t.Fatalf("ICOnly touched the EC: burst=%v ecU=%v", res.BurstRatio, res.ECUtil)
 	}
@@ -196,16 +197,12 @@ func TestUtilizationBounds(t *testing.T) {
 
 func TestProbingFeedsPredictor(t *testing.T) {
 	batches := smallWorkload(workload.UniformMix, 9)
-	res := mustRun(t, Config{NetSeed: 1, ProbePeriod: 120}, sched.ICOnly{}, batches)
+	res := mustRun(t, Config{NetSeed: 1}, sched.ICOnly{}, batches)
 	if res.ProbeCount == 0 {
 		t.Fatal("no probes ran")
 	}
 	if res.PredictorObservations < res.ProbeCount {
 		t.Fatal("probe results did not reach the predictor")
-	}
-	off := mustRun(t, Config{NetSeed: 1, ProbePeriod: -1}, sched.ICOnly{}, batches)
-	if off.ProbeCount != 0 || off.PredictorObservations != 0 {
-		t.Fatal("probing not disabled")
 	}
 }
 
@@ -214,16 +211,6 @@ func TestQRSMLearnsDuringRun(t *testing.T) {
 	res := mustRun(t, Config{NetSeed: 1}, sched.ICOnly{}, batches)
 	if res.QRSMR2 <= 0.5 {
 		t.Fatalf("QRSM R² = %v, expected a fitted model (bootstrap + online)", res.QRSMR2)
-	}
-}
-
-func TestBootstrapDisabled(t *testing.T) {
-	batches := smallWorkload(workload.UniformMix, 11)
-	// Without bootstrap the estimator starts from the size heuristic; the
-	// run must still complete.
-	res := mustRun(t, Config{NetSeed: 1, BootstrapN: -1}, sched.OrderPreserving{}, batches)
-	if res.Records.Len() == 0 {
-		t.Fatal("run with cold estimator failed")
 	}
 }
 
@@ -246,29 +233,37 @@ func TestReschedulingCompletesAndCanMoveJobs(t *testing.T) {
 }
 
 func TestTimeoutOnImpossibleNetwork(t *testing.T) {
-	// A nearly dead network with a scheduler that bursts anyway (Greedy
-	// with a huge IC backlog makes EC look attractive via the optimistic
-	// prior) should trip the virtual-time valve rather than hang. Use a
-	// tiny MaxVirtualTime to keep the test fast.
+	// A nearly dead network under the production bandwidth prior: both
+	// batches arrive before the first probe corrects the prior, and the
+	// single IC machine queues them deep, so every bursting scheduler sends
+	// work into a 10 B/s pipe that needs years to carry it. The drain must
+	// trip the valve 30 virtual days after the last arrival, not hang.
 	g := workload.MustNewGenerator(workload.Config{
-		Bucket: workload.LargeBias, Batches: 1, MeanJobsPerBatch: 4, Seed: 14,
+		Bucket: workload.LargeBias, Batches: 2, MeanJobsPerBatch: 6, Seed: 14,
 	})
 	batches := g.Generate()
 	cfg := Config{
 		NetSeed:         1,
 		UploadProfile:   netsim.ConstantProfile(10), // 10 B/s
 		DownloadProfile: netsim.ConstantProfile(10),
-		PriorBW:         1e9, // wildly optimistic prior forces bursting
-		ProbePeriod:     -1,  // no probes: the lie is never corrected
-		MaxVirtualTime:  3600,
 		ICMachines:      1,
 	}
-	_, err := Run(cfg, sched.Greedy{}, batches)
-	if err == nil {
-		t.Skip("workload completed within budget; valve not exercised")
+	for _, s := range []sched.Scheduler{sched.Greedy{}, sched.GreedyTracking{}, sched.OrderPreserving{}} {
+		if _, err := Run(cfg, s, batches); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("%s: err = %v, want ErrTimeout", s.Name(), err)
+		}
 	}
+	// A Serve cancelled mid-stream drains under the same valve.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := workload.MustNewStream(workload.StreamConfig{
+		Bucket: workload.LargeBias, BaseJobsPerBatch: 6, Seed: 14,
+	})
+	_, err := Serve(ctx, cfg, sched.Greedy{}, src, StreamConfig{
+		OnWindow: func(window.Report) { cancel() },
+	})
 	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+		t.Fatalf("cancelled Serve: err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -317,7 +312,7 @@ func TestAutoscalerGrowsUnderLoad(t *testing.T) {
 	cfg := Config{
 		NetSeed:    3,
 		ECMachines: 1,
-		Autoscale:  &AutoscaleConfig{Min: 1, Max: 6, BootDelay: 60, Period: 30, TargetWait: 120},
+		Autoscale:  &AutoscaleConfig{Max: 6, BootDelay: 60, TargetWait: 120},
 	}
 	res := mustRun(t, cfg, sched.OrderPreserving{}, batches)
 	if res.ECPeakMachines <= 1 {
@@ -345,7 +340,7 @@ func TestAutoscalerIdleWorkloadStaysSmall(t *testing.T) {
 	cfg := Config{
 		NetSeed:    3,
 		ECMachines: 1,
-		Autoscale:  &AutoscaleConfig{Min: 1, Max: 6},
+		Autoscale:  &AutoscaleConfig{Max: 6},
 	}
 	res := mustRun(t, cfg, sched.OrderPreserving{}, batches)
 	if res.ECPeakMachines > 2 {
@@ -355,7 +350,7 @@ func TestAutoscalerIdleWorkloadStaysSmall(t *testing.T) {
 
 func TestAutoscalerValidation(t *testing.T) {
 	g := workload.MustNewGenerator(workload.Config{Batches: 1, MeanJobsPerBatch: 2, Seed: 22})
-	_, err := Run(Config{Autoscale: &AutoscaleConfig{Min: 5, Max: 2}}, sched.ICOnly{}, g.Generate())
+	_, err := Run(Config{Autoscale: &AutoscaleConfig{Max: -1}}, sched.ICOnly{}, g.Generate())
 	if err == nil {
 		t.Fatal("invalid autoscale bounds accepted")
 	}
@@ -414,7 +409,6 @@ func TestRemoteSiteChoiceFollowsBandwidth(t *testing.T) {
 	batches := g.Generate()
 	res := mustRun(t, Config{
 		NetSeed:         5,
-		ProbePeriod:     60,                                 // learn the site difference before most batches arrive
 		UploadProfile:   netsim.ConstantProfile(150 * 1024), // starved primary
 		DownloadProfile: netsim.ConstantProfile(200 * 1024),
 		RemoteSites: []RemoteSiteConfig{{
@@ -430,7 +424,7 @@ func TestRemoteSiteChoiceFollowsBandwidth(t *testing.T) {
 		}
 	}
 	if totalEC == 0 {
-		t.Skip("nothing bursted on this seed")
+		t.Fatal("nothing bursted on this seed")
 	}
 	remote := res.SiteBursts[0]
 	primary := totalEC - remote

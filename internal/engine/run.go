@@ -386,6 +386,7 @@ func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 		ChunksCreated:         e.chunks,
 		UploadedBytes:         e.uploadedBytes,
 		DownloadedBytes:       e.downloadedBytes,
+		ProbeCount:            primary.prober.Count(),
 		FinalThreads:          primary.upTuner.Threads(),
 		QRSMR2:                e.estimator.GlobalModel().SettledR2(),
 		PredictorObservations: primary.upPred.Observations(),
@@ -401,9 +402,6 @@ func (e *Engine) resultFrom(tseq float64, originalJobs int) *Result {
 	}
 	if e.icFaults != nil {
 		r.ICCrashes = e.icFaults.Failures()
-	}
-	if primary.prober != nil {
-		r.ProbeCount = primary.prober.Count()
 	}
 	for _, site := range e.sites[1:] {
 		r.SiteBursts = append(r.SiteBursts, site.bursts)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"cloudburst/internal/sched"
 	"cloudburst/internal/sim"
@@ -56,6 +57,9 @@ const (
 )
 
 // StreamConfig parameterizes a streaming run on top of the engine Config.
+// A run that is still feeding has no virtual-time limit; once feeding stops,
+// by any cause that drains, the admitted jobs must all be done within 30
+// virtual days, or Serve returns ErrTimeout.
 type StreamConfig struct {
 	// Window is the metric flush period in virtual seconds (default 600).
 	Window float64
@@ -208,6 +212,9 @@ type server struct {
 	feeding   bool
 	stopCause string
 	deadline  float64 // absolute feeding deadline; -1 = unbounded
+	// valveAt is the safety valve: maxVirtualTime past the moment feeding
+	// stopped, +Inf while it goes on.
+	valveAt float64
 
 	fedJobs    int
 	fedBatches int
@@ -220,7 +227,7 @@ type server struct {
 // start arms admission: the feeding deadline sits Duration past the
 // already served budget, and the first batch is pulled and scheduled.
 func (s *server) start(served float64) {
-	s.feeding, s.deadline = true, -1
+	s.feeding, s.deadline, s.valveAt = true, -1, math.Inf(1)
 	if s.sc.Duration > 0 {
 		s.deadline = served + s.sc.Duration
 	}
@@ -228,13 +235,15 @@ func (s *server) start(served float64) {
 	s.scheduleNext()
 }
 
-// stopFeeding turns off admission; the first cause wins.
+// stopFeeding turns off admission and arms the safety valve; the first
+// cause wins.
 func (s *server) stopFeeding(cause string) {
 	if !s.feeding {
 		return
 	}
 	s.feeding = false
 	s.stopCause = cause
+	s.valveAt = s.e.eng.Now() + maxVirtualTime
 }
 
 // feed admits one batch: account it, run the scheduling round, and pull
@@ -289,8 +298,8 @@ func (s *server) scheduleNext() {
 //     completed;
 //   - suspension: the next event lies past the deadline; stop without
 //     firing it, leaving in-flight state to the checkpoint;
-//   - abort: a finite run's context fired, or the virtual-time safety
-//     valve tripped.
+//   - abort: a finite run's context fired, or the drain was still
+//     unfinished maxVirtualTime after feeding stopped (ErrTimeout).
 //
 // Cancellation is polled before the first step — so an already-cancelled
 // Run never starts the simulation, however short — and then every 1024
@@ -320,7 +329,7 @@ func (s *server) drive(ctx context.Context) (suspended bool, err error) {
 		if !eng.Step() {
 			return false, fmt.Errorf("engine: event queue drained with %d/%d jobs done", e.completed, e.total)
 		}
-		if eng.Now() > e.cfg.MaxVirtualTime {
+		if eng.Now() > s.valveAt {
 			return false, fmt.Errorf("%w: %d/%d jobs done at t=%.0fs", ErrTimeout, e.completed, e.total, eng.Now())
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/invariant"
+	"cloudburst/internal/netsim"
 	"cloudburst/internal/sched"
 	"cloudburst/internal/shard"
 	"cloudburst/internal/window"
@@ -178,6 +179,24 @@ func TestServeCancelDrainsCleanly(t *testing.T) {
 	}
 	if vs := chk.Finish(); len(vs) > 0 {
 		t.Fatalf("invariant violations after cancel-drain: %v", vs)
+	}
+}
+
+// TestServeOutlivesValve serves a light stream for 31 virtual days, past
+// the 30-day safety valve: a Serve that is still feeding is healthy, so
+// the valve only counts from the moment feeding stops and the run drains.
+func TestServeOutlivesValve(t *testing.T) {
+	src := workload.MustNewStream(workload.StreamConfig{
+		Bucket:           workload.UniformMix,
+		BaseJobsPerBatch: 0.2,
+		Seed:             1,
+	})
+	res := mustServe(t, Config{NetSeed: 1}, src, StreamConfig{Duration: 31 * netsim.Day})
+	if res.StopCause != StopDuration {
+		t.Fatalf("stop cause %q, want %q", res.StopCause, StopDuration)
+	}
+	if res.VirtualTime <= maxVirtualTime || res.Jobs < res.Fed {
+		t.Fatalf("stopped at t=%.0fs with %d of %d fed jobs delivered", res.VirtualTime, res.Jobs, res.Fed)
 	}
 }
 

@@ -107,8 +107,8 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 	s := &ecSite{
 		cluster:   cluster.New(e.eng, "ec"+suffix, rc.Machines),
 		rate:      rc.OnDemandRate,
-		upPred:    netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
-		downPred:  netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, cfg.PriorBW),
+		upPred:    netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, priorBW),
+		downPred:  netsim.NewPredictor(predictorSlots, cfg.PredictorAlpha, priorBW),
 		upTuner:   netsim.NewTuner(cfg.ThreadModel, 8),
 		downTuner: netsim.NewTuner(cfg.ThreadModel, 8),
 		upName:    "upload" + suffix,
@@ -146,10 +146,8 @@ func (e *Engine) buildSite(rc RemoteSiteConfig, upRNG, downRNG *stats.RNG) *ecSi
 	s.downQ = netsim.NewQueue(e.eng, s.downName, downlink, s.downTuner, 1)
 	s.downQ.OnMeasure = func(at, pathBW float64) { s.downPred.Observe(at, pathBW) }
 
-	if cfg.ProbePeriod > 0 {
-		s.prober = netsim.NewProber(e.eng, uplink, s.upPred, s.upTuner, netsim.ProberConfig{Period: cfg.ProbePeriod})
-		e.attachProbeTrace(s.prober, uplinkName)
-	}
+	s.prober = netsim.NewProber(e.eng, uplink, s.upPred, s.upTuner, netsim.ProberConfig{Period: probePeriod})
+	e.attachProbeTrace(s.prober, uplinkName)
 	return s
 }
 

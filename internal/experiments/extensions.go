@@ -41,7 +41,7 @@ func ExtensionAutoscale(seed int64) (*Table, error) {
 	}{
 		{"fixed-2", fatPipe(2, nil)},
 		{"fixed-6", fatPipe(6, nil)},
-		{"elastic-1..6", fatPipe(1, &engine.AutoscaleConfig{Min: 1, Max: 6, TargetWait: 180})},
+		{"elastic-1..6", fatPipe(1, &engine.AutoscaleConfig{Max: 6, TargetWait: 180})},
 	}
 	for _, v := range variants {
 		rs, err := RunReplicated(RunSpec{

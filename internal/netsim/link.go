@@ -36,9 +36,6 @@ func (tr *Transfer) Remaining() float64 {
 	return tr.remaining
 }
 
-// Rate returns the currently allocated bytes/sec.
-func (tr *Transfer) Rate() float64 { return tr.rate }
-
 // Done reports whether the transfer completed.
 func (tr *Transfer) Done() bool { return tr.done }
 

@@ -1,10 +1,5 @@
 package netsim
 
-import (
-	"fmt"
-	"math"
-)
-
 // ThreadModel captures how many parallel TCP streams a transfer needs to
 // fill the pipe, and the point at which extra threads start to hurt. A
 // single stream is window/RTT-limited to PerThread bytes/sec; n streams
@@ -42,25 +37,6 @@ func (tm ThreadModel) Limit(n int) float64 {
 		eff = 0
 	}
 	return float64(n) * tm.PerThread * eff
-}
-
-// Best returns the thread count in [1,MaxThread] that maximizes achieved
-// throughput against an available share of link capacity: the smallest n
-// whose Limit reaches the share, or the unconstrained optimum if the share
-// is unreachable.
-func (tm ThreadModel) Best(share float64) int {
-	max := tm.MaxThread
-	if max <= 0 {
-		max = 64
-	}
-	bestN, bestV := 1, math.Min(tm.Limit(1), share)
-	for n := 2; n <= max; n++ {
-		v := math.Min(tm.Limit(n), share)
-		if v > bestV+1e-9 {
-			bestN, bestV = n, v
-		}
-	}
-	return bestN
 }
 
 // Tuner converges on the thread count that maximizes measured throughput,
@@ -170,12 +146,3 @@ func (t *Tuner) RecordHistory() { t.record = true }
 
 // History returns the tuning samples observed since RecordHistory.
 func (t *Tuner) History() []TunerSample { return t.history }
-
-// String describes the tuner state.
-func (t *Tuner) String() string {
-	v := 0.0
-	if a := t.avg[t.current]; a != nil {
-		v = a.v
-	}
-	return fmt.Sprintf("tuner(threads=%d bw=%.0f)", t.current, v)
-}

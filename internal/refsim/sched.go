@@ -182,11 +182,13 @@ func (p *refPipeline) commit(j *job.Job, estStd float64) float64 {
 	return p.downFree
 }
 
+// refChunkWindow is the reference twin's own copy of Algorithm 2's
+// look-ahead window x, kept apart from sched's so the oracle stays
+// independent.
+const refChunkWindow = 4
+
 // cfgDefaults mirrors sched.Config.withDefaults.
 func cfgDefaults(c sched.Config) sched.Config {
-	if c.ChunkWindow == 0 {
-		c.ChunkWindow = 4
-	}
 	if c.ChunkStdThresholdMB == 0 {
 		c.ChunkStdThresholdMB = 60
 	}
@@ -242,7 +244,7 @@ func chunkPass(batch []*job.Job, cfg sched.Config, alloc job.IDAllocator) []*job
 	target := job.Bytes(cfg.ChunkTargetMB)
 	thresholdB := cfg.ChunkStdThresholdMB * float64(job.Megabyte)
 	for i := 0; i < len(jobs); i++ {
-		hi := i + cfg.ChunkWindow
+		hi := i + refChunkWindow
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}

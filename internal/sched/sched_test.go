@@ -234,15 +234,6 @@ func TestSizeStd(t *testing.T) {
 	}
 }
 
-func TestSlackHelper(t *testing.T) {
-	if Slack(nil) != 0 {
-		t.Fatal("empty slack should be 0")
-	}
-	if Slack([]float64{3, 9, 5}) != 9 {
-		t.Fatal("slack should be the max predecessor completion")
-	}
-}
-
 func TestSlackMarginMakesBurstingConservative(t *testing.T) {
 	st := testState(5*job.Megabyte, 5*job.Megabyte)
 	st.ICBacklogStd = 4000

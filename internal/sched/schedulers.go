@@ -133,12 +133,13 @@ func peekPool(v *virtualPool, stdSeconds float64) float64 {
 	return v.earliest() + stdSeconds/v.speed
 }
 
+// chunkWindow is x in Algorithm 2: the look-ahead window for the chunking
+// pass's size variability check.
+const chunkWindow = 4
+
 // Config tunes the Order Preserving scheduler's chunking pass and slack
 // margin.
 type Config struct {
-	// ChunkWindow is x in Algorithm 2: the look-ahead window for the size
-	// variability check. Default 4.
-	ChunkWindow int
 	// ChunkStdThresholdMB is th: chunk the current job when the window's
 	// size standard deviation exceeds this. Default 60 MB.
 	ChunkStdThresholdMB float64
@@ -150,9 +151,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ChunkWindow == 0 {
-		c.ChunkWindow = 4
-	}
 	if c.ChunkStdThresholdMB == 0 {
 		c.ChunkStdThresholdMB = 60
 	}
@@ -188,7 +186,7 @@ func chunkPass(batch []*job.Job, cfg Config, alloc job.IDAllocator) []*job.Job {
 	target := job.Bytes(cfg.ChunkTargetMB)
 	thresholdB := cfg.ChunkStdThresholdMB * float64(job.Megabyte)
 	for i := 0; i < len(jobs); i++ {
-		hi := i + cfg.ChunkWindow
+		hi := i + chunkWindow
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}
@@ -252,17 +250,4 @@ func placeWithSlack(jobs []*job.Job, st *State, cfg Config) []Decision {
 		out = append(out, d)
 	}
 	return out
-}
-
-// Slack exposes equation (1) for diagnostics and tests: given estimated
-// completion offsets of the jobs preceding position i, the slack is their
-// maximum (zero for the head of the queue).
-func Slack(completionsBefore []float64) float64 {
-	var m float64
-	for _, c := range completionsBefore {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }

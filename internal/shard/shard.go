@@ -65,9 +65,6 @@ func (p Partitioner) Shard(jobID int) int {
 	return int(x % uint64(p.count))
 }
 
-// Count returns the shard count.
-func (p Partitioner) Count() int { return p.count }
-
 // Snapshot is the system view one placement round runs against. No shard
 // changes it, so every shard places against the same cluster state.
 type Snapshot struct {

@@ -39,12 +39,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // N returns the number of observations folded in.
 func (e *EWMA) N() int { return e.n }
-
-// Alpha returns the configured weight.
-func (e *EWMA) Alpha() float64 { return e.alpha }
-
-// Reset discards all state, keeping the weight.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.n = 0
-}

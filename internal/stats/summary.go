@@ -14,13 +14,11 @@ type Summary struct {
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	s.sum += x
 	if s.n == 1 {
 		s.min, s.max = x, x
 	} else {
@@ -45,9 +43,6 @@ func (s *Summary) AddAll(xs []float64) {
 
 // N returns the number of observations.
 func (s *Summary) N() int { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
@@ -109,15 +104,6 @@ func Variance(xs []float64) float64 {
 // Std returns the sample standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CV returns the coefficient of variation of xs.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return Std(xs) / math.Abs(m)
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies and sorts xs, leaving the
 // input untouched. An empty slice returns 0.
@@ -142,6 +128,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return c[lo]*(1-frac) + c[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Point is one (time, value) sample.
@@ -33,24 +32,6 @@ func (ts *TimeSeries) Append(t, v float64) {
 
 // Len returns the number of samples.
 func (ts *TimeSeries) Len() int { return len(ts.Points) }
-
-// Values returns the sample values in order.
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.Points))
-	for i, p := range ts.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
-// Times returns the sample timestamps in order.
-func (ts *TimeSeries) Times() []float64 {
-	out := make([]float64, len(ts.Points))
-	for i, p := range ts.Points {
-		out[i] = p.T
-	}
-	return out
-}
 
 // At returns the value in force at time t using step (zero-order hold)
 // interpolation: the value of the latest sample with timestamp <= t. Before
@@ -85,14 +66,4 @@ func Sub(a, b *TimeSeries) *TimeSeries {
 		out.Append(p.T, p.V-b.At(p.T))
 	}
 	return out
-}
-
-// CSV renders the series as two-column CSV with a header.
-func (ts *TimeSeries) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t,%s\n", ts.Name)
-	for _, p := range ts.Points {
-		fmt.Fprintf(&b, "%.3f,%.6g\n", p.T, p.V)
-	}
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTimeSeriesAppendAndAccessors(t *testing.T) {
 	ts := &TimeSeries{Name: "x"}
@@ -13,11 +10,8 @@ func TestTimeSeriesAppendAndAccessors(t *testing.T) {
 	if ts.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", ts.Len())
 	}
-	if vs := ts.Values(); vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
-		t.Fatalf("Values = %v", vs)
-	}
-	if tsx := ts.Times(); tsx[0] != 0 || tsx[2] != 5 {
-		t.Fatalf("Times = %v", tsx)
+	if p := ts.Points; p[0] != (Point{0, 1}) || p[1] != (Point{5, 2}) || p[2] != (Point{5, 3}) {
+		t.Fatalf("Points = %v", p)
 	}
 	if ts.Last().V != 3 {
 		t.Fatalf("Last = %+v", ts.Last())
@@ -73,18 +67,5 @@ func TestSub(t *testing.T) {
 	}
 	if d.Name != "a-b" {
 		t.Fatalf("Sub name = %q", d.Name)
-	}
-}
-
-func TestCSVOutput(t *testing.T) {
-	ts := &TimeSeries{Name: "oo"}
-	ts.Append(0, 1.5)
-	ts.Append(120, 2)
-	out := ts.CSV()
-	if !strings.HasPrefix(out, "t,oo\n") {
-		t.Fatalf("CSV header wrong: %q", out)
-	}
-	if !strings.Contains(out, "120.000,2") {
-		t.Fatalf("CSV body missing row: %q", out)
 	}
 }

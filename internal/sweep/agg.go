@@ -59,8 +59,5 @@ func Aggregate(results []Result, keyOf func(Cell) string) []Group {
 	return out
 }
 
-// GroupBySchedulerBucket is the common group-by key: "scheduler/bucket".
-func GroupBySchedulerBucket(c Cell) string { return c.Scheduler + "/" + c.Bucket }
-
 // GroupByScheduler keys groups by scheduler name alone.
 func GroupByScheduler(c Cell) string { return c.Scheduler }

@@ -226,7 +226,7 @@ func TestAggregate(t *testing.T) {
 		{Cell: Cell{Scheduler: "Op", Bucket: "small"}, Metrics: Metrics{Makespan: 300, Jobs: 20}},
 		{Cell: Cell{Scheduler: "SIBS", Bucket: "small"}, Metrics: Metrics{Makespan: 50}},
 	}
-	groups := Aggregate(results, GroupBySchedulerBucket)
+	groups := Aggregate(results, func(c Cell) string { return c.Scheduler + "/" + c.Bucket })
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}

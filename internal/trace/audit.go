@@ -622,11 +622,13 @@ func (au *Auditor) Audit() (*Audit, error) {
 	return &a, nil
 }
 
-// maxOOPoints caps the OO sampling grid. A 30-day run (the engine's
-// MaxVirtualTime) sampled every 5 s, the finest interval any test uses,
-// has 518,402 points; a decoded stream whose deliveries span far more
-// would otherwise allocate without bound, or never finish once the step
-// falls below the float spacing of its timestamps.
+// maxOOPoints caps the OO sampling grid: 30 days sampled every 5 s, the
+// finest interval any test uses, is 518,402 points, and two years fit at
+// the default 120 s. The engine does not bound a run's span (a serve runs
+// as long as it keeps feeding), so a longer grid records an audit issue
+// instead; a decoded stream whose deliveries span far more would otherwise
+// allocate without bound, or never finish once the step falls below the
+// float spacing of its timestamps.
 const maxOOPoints = 1 << 19
 
 // ooSeries recomputes the OO metric o_t (ordered output bytes, eq. 6) on
